@@ -134,11 +134,10 @@ def test_microbatched_beats_per_request_dispatch(stack, samples, request):
     ref = ReferenceExecutor(g)
     expected = [ref.run(x) for x in samples]
 
-    per_request_cfg = ServingConfig(max_batch=1, max_wait_ms=0)
-    # max_batch == client count: with closed-loop clients (one outstanding
-    # request each) the batch fills immediately instead of idling out the
-    # wait window hoping for a request that can never arrive
-    batched_cfg = ServingConfig(max_batch=N_CLIENTS, max_wait_ms=4.0)
+    per_request_cfg = ServingConfig(max_batch=1)
+    # max_batch == client count: closed-loop clients have one outstanding
+    # request each, so a single dispatch can take the whole backlog
+    batched_cfg = ServingConfig(max_batch=N_CLIENTS)
 
     with MicroBatchServer(executor.run, per_request_cfg) as server:
         t_single, out_single = _serve_closed_loop(server, samples, REQUESTS_PER_CLIENT)
@@ -185,7 +184,7 @@ def test_serving_dispatch_wallclock(benchmark, stack, samples):
     """pytest-benchmark timing of one coalesced dispatch round."""
     g, ps, assignments = stack
     executor = CompiledExecutor(g, ps, assignments)
-    server = MicroBatchServer(executor.run, ServingConfig(max_batch=N_CLIENTS, max_wait_ms=4.0))
+    server = MicroBatchServer(executor.run, ServingConfig(max_batch=N_CLIENTS))
 
     def round_trip():
         futs = [server.submit(x) for x in samples]

@@ -47,7 +47,7 @@ P50_RATIO_GATE = 1.3
 @pytest.fixture(scope="module")
 def specs(tmp_path_factory):
     root = tmp_path_factory.mktemp("multitenant-bench")
-    cfg = ServingConfig(max_batch=N_CLIENTS // 2, max_wait_ms=4.0)
+    cfg = ServingConfig(max_batch=N_CLIENTS // 2)
     return {
         "small": projected_smallcnn_spec(
             str(root / "small.npz"), channels=(16, 32), in_size=IN_SIZE,

@@ -42,7 +42,7 @@ IN_SIZE = 16
 _CORES = len(os.sched_getaffinity(0))
 _WORKER_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 #: 5% relative gate + 0.25 ms absolute floor (clock/scheduler jitter on
-#: a ~5 ms request is larger than the effect being measured otherwise)
+#: a ~1.5 ms request is larger than the effect being measured otherwise)
 GATE_RELATIVE = 1.05
 GATE_FLOOR_MS = 0.25
 OUT_PATH = Path(__file__).resolve().parents[1] / "BENCH_observability.json"
@@ -55,7 +55,7 @@ def spec(tmp_path_factory):
         str(bundle),
         channels=(32, 32, 64),
         in_size=IN_SIZE,
-        serving_config=ServingConfig(max_batch=8, max_wait_ms=2.0),
+        serving_config=ServingConfig(max_batch=8),
     )
 
 

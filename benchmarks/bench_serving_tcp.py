@@ -48,7 +48,7 @@ def spec(tmp_path_factory):
         str(bundle),
         channels=(32, 32, 64),
         in_size=IN_SIZE,
-        serving_config=ServingConfig(max_batch=N_CLIENTS, max_wait_ms=4.0),
+        serving_config=ServingConfig(max_batch=N_CLIENTS),
     )
 
 

@@ -1,5 +1,7 @@
 #!/usr/bin/env bash
-# Repo check: tier-1 tests plus a fast benchmark-collection pass.
+# Repo check: tier-1 tests (the serving/chaos/membership/multi-tenant
+# suites under their own named headers), a smoke run of the
+# latency-budget harness, and a fast benchmark-collection pass.
 #
 # The benchmark modules are named bench_*.py, which pytest's default
 # python_files glob silently skips — so they can rot without anyone
@@ -17,17 +19,35 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
-echo "== tier-1 tests =="
-python -m pytest -x -q --timeout 300 "$@"
+# The serving, chaos, membership and multi-tenant suites are part of
+# tier-1 (bare `pytest` collects them) but run here under their own
+# named headers, so the general tier-1 run below skips exactly those
+# files: every test file runs once, and a serving regression is still
+# unmissable in CI output.
+SERVING_SUITES=(
+    tests/runtime/test_serving.py tests/runtime/test_arena.py
+    tests/runtime/test_metrics.py tests/runtime/test_transport.py
+    tests/runtime/test_shm_ring.py tests/runtime/test_cluster.py
+    tests/runtime/test_resilience.py tests/runtime/test_telemetry.py
+)
+CHAOS_SUITE=tests/runtime/test_chaos.py
+MEMBERSHIP_SUITE=tests/runtime/test_membership.py
+MULTITENANT_SUITE=tests/runtime/test_multitenant.py
 
-# Named gate for the serving suites (also part of tier-1; kept explicit
-# and cheap so a serving regression is unmissable in CI output): the
-# in-process micro-batcher + arena, the shared metrics reservoir, the
-# transport protocol (frame codec edge cases + credit backpressure),
-# the multi-process cluster stack (spawned shard workers, shm AND
-# loopback-TCP transports, crash recovery), and the resilience layer
-# (retries, breakers, deadlines, slot hygiene), and the telemetry
-# stack (metrics registry, cross-transport tracing, admin endpoint).
+echo "== tier-1 tests (named suites below excluded) =="
+ignores=()
+for path in "${SERVING_SUITES[@]}" "$CHAOS_SUITE" "$MEMBERSHIP_SUITE" "$MULTITENANT_SUITE"; do
+    ignores+=("--ignore=$path")
+done
+python -m pytest -x -q --timeout 300 "${ignores[@]}" "$@"
+
+# Named gate for the serving suites: the in-process micro-batcher +
+# arena, the shared metrics reservoir, the transport protocol (frame
+# codec edge cases + credit backpressure), the multi-process cluster
+# stack (spawned shard workers, shm AND loopback-TCP transports, crash
+# recovery), and the resilience layer (retries, breakers, deadlines,
+# slot hygiene), and the telemetry stack (metrics registry,
+# cross-transport tracing, admin endpoint).
 # The benchmarks pass below picks up the serving throughput benches
 # (bench_serving_concurrent.py, bench_serving_cluster.py,
 # bench_serving_chaos.py, bench_serving_tcp.py,
@@ -37,11 +57,7 @@ python -m pytest -x -q --timeout 300 "$@"
 # churn, and the multitenant bench gates bitwise per-model correctness
 # of the consolidated two-model cluster even in the disabled fast pass.
 echo "== serving concurrency + cluster stress tests =="
-python -m pytest tests/runtime/test_serving.py tests/runtime/test_arena.py \
-                 tests/runtime/test_metrics.py tests/runtime/test_transport.py \
-                 tests/runtime/test_shm_ring.py tests/runtime/test_cluster.py \
-                 tests/runtime/test_resilience.py tests/runtime/test_telemetry.py \
-                 -q --timeout 300
+python -m pytest "${SERVING_SUITES[@]}" -q --timeout 300
 
 # The chaos matrix is the resilience acceptance gate: seeded fault
 # injection (crash/stall/slow/corrupt/slot-exhaust) against the full
@@ -49,7 +65,7 @@ python -m pytest tests/runtime/test_serving.py tests/runtime/test_arena.py \
 # error, with the run's counters matching the plan's replay exactly,
 # over the shm transport and over loopback TCP alike.
 echo "== chaos suite (seeded fault injection, shm + tcp) =="
-python -m pytest tests/runtime/test_chaos.py -q --timeout 300
+python -m pytest "$CHAOS_SUITE" -q --timeout 300
 
 # Elastic membership is its own named gate: runtime add/remove with
 # drain-before-remove must be invisible to clients — remove-under-load
@@ -58,7 +74,7 @@ python -m pytest tests/runtime/test_chaos.py -q --timeout 300
 # transport and over loopback TCP alike, plus the shard-file watcher
 # and the admin POST routes that drive the same code paths.
 echo "== elastic membership suite (runtime add/remove, shm + tcp) =="
-python -m pytest tests/runtime/test_membership.py -q --timeout 300
+python -m pytest "$MEMBERSHIP_SUITE" -q --timeout 300
 
 # Multi-tenancy is its own named gate: a two-model registry served
 # concurrently with bitwise per-model correctness, typed unknown-model
@@ -67,7 +83,14 @@ python -m pytest tests/runtime/test_membership.py -q --timeout 300
 # the retry budget — on the shm transport and over loopback TCP alike,
 # plus the admin model routes and per-model /metrics labels.
 echo "== multi-tenant suite (model registry, hot load/unload, shm + tcp) =="
-python -m pytest tests/runtime/test_multitenant.py -q --timeout 300
+python -m pytest "$MULTITENANT_SUITE" -q --timeout 300
+
+# The latency-budget harness (bench/, declared by BENCHMARK.json) only
+# calls public functions and reads public telemetry; the smoke run (1
+# round x 2 windows per workload, every reply checked bitwise) keeps it
+# from rotting against src/.
+echo "== latency-budget harness (bench/run.py --smoke) =="
+python3 bench/run.py --smoke
 
 echo "== benchmarks (benchmark-disabled fast pass) =="
 python -m pytest benchmarks/ -q --benchmark-disable --timeout 600 \

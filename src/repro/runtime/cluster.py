@@ -1605,6 +1605,9 @@ class ShardedServer:
                     continue
                 shard.pending[req_id] = inflight
             trace = inflight.trace
+            # read before the send: a worker that dies on receipt lets the
+            # retry path claim the next attempt before this thread resumes
+            attempt_no = inflight.attempts
             try:
                 shard.endpoint.send_request(
                     token, req_id, x, inflight.deadline_at,
@@ -1616,7 +1619,6 @@ class ShardedServer:
                 shard.last_routed_at = inflight.last_sent_at
                 with shard.lock:
                     shard.requests += 1
-                    attempt_no = inflight.attempts
                 if trace is not None:
                     trace.add_span(
                         "dispatch", dispatch_start, inflight.last_sent_at,

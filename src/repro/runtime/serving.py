@@ -7,11 +7,14 @@ single samples from many concurrent clients.  :class:`MicroBatchServer`
 bridges the two: client threads :meth:`~MicroBatchServer.submit`
 individual samples (or small batches) and get back
 :class:`concurrent.futures.Future`\\ s, while a single dispatcher thread
-coalesces queued requests into micro-batches — up to
-:attr:`ServingConfig.max_batch` samples, waiting at most
-:attr:`ServingConfig.max_wait_ms` for stragglers — runs them through the
-shared executor in one call, and scatters the result rows back to each
-request's future.
+runs what is queued the moment the executor is free: it blocks only on
+an empty queue, and on wake takes the first request plus whatever is
+*already* queued — up to :attr:`ServingConfig.max_batch` samples — runs
+them through the shared executor in one call, and scatters the result
+rows back to each request's future.  Nothing ever waits on a timer:
+requests that arrive while a batch executes coalesce into the next one,
+so batch size follows load (1 on an idle server, ``max_batch`` under
+saturation) with no tunable.
 
 Because all model execution happens on the dispatcher thread against
 one shared :class:`~repro.runtime.executor.CompiledExecutor`, the kernel
@@ -37,8 +40,8 @@ Usage::
     logits = fut.result()
     session.close()
 
-Requests whose samples have different (C, H, W) shapes are coalesced
-into the same dispatch window but executed as separate shape groups, so
+Requests whose samples have different (C, H, W) shapes may be taken
+in the same dispatch but are executed as separate shape groups, so
 heterogeneous traffic is correct (just not cross-shape batched).
 
 Overload and latency budgets are first-class (SLO-aware admission):
@@ -76,46 +79,36 @@ from repro.runtime.resilience import (
     InjectedFaultError,
     QueueFullError,
 )
-from repro.runtime.telemetry import MetricsRegistry, profile_layers
+from repro.runtime.telemetry import DEFAULT_BUCKETS_MS, MetricsRegistry, profile_layers
 
 __all__ = ["ServingConfig", "ServingStats", "MicroBatchServer"]
 
 
 @dataclass(frozen=True)
 class ServingConfig:
-    """Knobs for the micro-batching dispatcher.
+    """Bounds for the micro-batching dispatcher.
+
+    The dispatcher runs what is queued the moment the executor is free;
+    batch size follows load.  There is no coalescing window to tune —
+    the ``max_wait_ms`` / ``adaptive_wait`` fields of earlier versions
+    are gone, and a spec file still carrying them is rejected with
+    ``ValueError`` by :func:`~repro.runtime.session.spec_from_json`.
 
     Attributes:
-        max_batch: target samples per dispatched micro-batch; the
-            dispatcher stops collecting once the batch reaches this many
-            samples (a multi-sample request arriving last may overflow
-            it slightly rather than be split).
-        max_wait_ms: upper bound on how long the dispatcher waits for
-            more requests after the first one arrives — the latency
-            price paid for batching opportunity.  0 disables
-            coalescing-by-waiting (only requests already queued are
-            batched).
+        max_batch: cap on samples per dispatched micro-batch; the
+            dispatcher stops taking queued requests once the batch
+            reaches this many samples (a multi-sample request taken
+            last may overflow it slightly rather than be split).
         queue_depth: bound on queued requests; ``submit`` blocks once
             the backlog reaches this many (simple backpressure).
-        adaptive_wait: load-aware batching window.  When the backlog at
-            a window's start is already ``max_batch`` requests deep,
-            waiting buys nothing (the batch fills straight from the
-            queue), so the effective window halves; a window that
-            expires without filling its batch (light load) grows it
-            back toward ``max_wait_ms``.  The current effective window
-            is exposed as :attr:`ServingStats.effective_wait_ms`.
     """
 
     max_batch: int = 8
-    max_wait_ms: float = 2.0
     queue_depth: int = 1024
-    adaptive_wait: bool = True
 
     def __post_init__(self) -> None:
         if self.max_batch < 1:
             raise ValueError(f"max_batch must be >= 1, got {self.max_batch}")
-        if self.max_wait_ms < 0:
-            raise ValueError(f"max_wait_ms must be >= 0, got {self.max_wait_ms}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
 
@@ -172,11 +165,15 @@ class ServingStats:
             "serving_timed_out_total", "requests shed after their deadline expired", **lbl)
         self._max_batch_seen = reg.gauge(
             "serving_max_batch_seen", "largest micro-batch dispatched so far", **lbl)
-        self._effective_wait_ms = reg.gauge(
-            "serving_effective_wait_ms", "current adaptive coalescing window (ms)", **lbl)
         self._latency_hist = reg.histogram(
             "serving_request_latency_ms", "submit-to-resolution request latency (ms)",
             **lbl)
+        # always-on (not 1%-sampled like the queue_wait trace span), with
+        # sub-0.5 ms buckets: an idle dispatcher hands a request to the
+        # runner in tens of microseconds, and that is what must be visible
+        self._queue_wait_hist = reg.histogram(
+            "serving_queue_wait_ms", "submit-to-runner-entry queue wait (ms)",
+            buckets=(0.05, 0.1, 0.25) + DEFAULT_BUCKETS_MS, **lbl)
         # Sliding-window reservoir of per-request latencies (queue wait +
         # dispatch + kernel time, submit to resolution) — the shared
         # implementation from repro.runtime.metrics, also used by the
@@ -219,16 +216,6 @@ class ServingStats:
         return int(self._max_batch_seen.value)
 
     @property
-    def effective_wait_ms(self) -> float:
-        """Current effective coalescing window (== ``max_wait_ms`` unless
-        ``adaptive_wait`` has shrunk it under sustained backlog)."""
-        return self._effective_wait_ms.value
-
-    @effective_wait_ms.setter
-    def effective_wait_ms(self, value: float) -> None:
-        self._effective_wait_ms.set(value)
-
-    @property
     def mean_batch(self) -> float:
         """Average samples per dispatched batch (1.0 = no coalescing)."""
         with self._lock:
@@ -243,8 +230,10 @@ class ServingStats:
                 getattr(self, f"_{name}").inc(n)
 
     def record_batch(self, n_requests: int, n_samples: int,
-                     latencies_ms: list[float]) -> None:
-        """Record one successfully dispatched micro-batch atomically."""
+                     latencies_ms: list[float], queue_waits_ms: list[float]) -> None:
+        """Record one successfully dispatched micro-batch atomically
+        (per request: submit-to-resolution latency and the
+        submit-to-runner-entry share of it spent queued)."""
         with self._lock:
             self._requests.inc(n_requests)
             self._samples.inc(n_samples)
@@ -254,6 +243,8 @@ class ServingStats:
             for ms in latencies_ms:
                 self._latency.record(ms)
                 self._latency_hist.observe(ms)
+            for ms in queue_waits_ms:
+                self._queue_wait_hist.observe(ms)
 
     # -- latency views -------------------------------------------------
     @property
@@ -302,7 +293,6 @@ class ServingStats:
                 "errors": int(self._errors.value),
                 "shed": int(self._shed.value),
                 "timed_out": int(self._timed_out.value),
-                "effective_wait_ms": self._effective_wait_ms.value,
                 "metrics": self.registry.snapshot(),
             }
         counters["mean_batch"] = (
@@ -374,7 +364,7 @@ def _dispatch_worker(server_ref, q: queue.Queue, capacity: threading.BoundedSema
 
     Module-level on purpose: the thread must not keep the server alive.
     It blocks on the bare queue holding only a weak server reference,
-    takes a strong reference per dispatch window, and exits when it sees
+    takes a strong reference per dispatch, and exits when it sees
     the shutdown sentinel — enqueued by ``close()`` or by the server's
     ``weakref.finalize`` when the object is garbage-collected.
     """
@@ -407,7 +397,7 @@ class MicroBatchServer:
         faults: optional deterministic :class:`~repro.runtime.faults.FaultPlan`
             for chaos testing — ``crash`` decisions raise
             :class:`InjectedFaultError` on the affected requests,
-            ``stall``/``slow`` delay their dispatch window (``corrupt``
+            ``stall``/``slow`` delay their dispatch (``corrupt``
             and ``slot_exhaust`` are transport-level kinds and no-ops
             here).  ``None`` (production) injects nothing.
         stats: externally built :class:`ServingStats` (a multi-tenant
@@ -436,10 +426,6 @@ class MicroBatchServer:
         self.stats = stats if stats is not None else ServingStats()
         self._injector = FaultInjector(faults) if faults is not None else None
         self._fault_seq = itertools.count()
-        # effective coalescing window, adapted per dispatch window when
-        # config.adaptive_wait is set (dispatcher-thread-only state)
-        self._wait_ms = self.config.max_wait_ms
-        self.stats.effective_wait_ms = self._wait_ms
         # Backpressure lives in the semaphore, not the queue: submit
         # blocks on _capacity *outside* _submit_lock, so a full backlog
         # can never wedge the lock and stop close() from closing.  The
@@ -453,7 +439,7 @@ class MicroBatchServer:
         # slip into the queue behind the shutdown sentinel and hang.
         self._submit_lock = threading.Lock()
         # The worker holds only a *weak* reference to the server (strong
-        # ref taken per window, dropped before each blocking get), and
+        # ref taken per dispatch, dropped before each blocking get), and
         # the finalizer wakes it with the shutdown sentinel when the
         # server is garbage-collected — a server dropped without close()
         # must not leak its dispatcher thread or pin the executor/arena.
@@ -565,23 +551,16 @@ class MicroBatchServer:
 
     # ------------------------------------------------------------------
     def _collect_and_dispatch(self, first: _Request) -> bool:
-        """One dispatch window, seeded by ``first``; True means shutdown."""
+        """Dispatch ``first`` plus whatever is already queued (up to
+        ``max_batch`` samples), without waiting; True means shutdown."""
         self._capacity.release()
-        depth_at_start = self._queue.qsize()
         batch = [first]
         samples = first.n
-        deadline = time.monotonic() + self._wait_ms / 1e3
         shutdown = False
-        expired = False
         while samples < self.config.max_batch:
-            remaining = deadline - time.monotonic()
             try:
-                if remaining > 0:
-                    nxt = self._queue.get(timeout=remaining)
-                else:  # window over: take only what is already queued
-                    nxt = self._queue.get_nowait()
+                nxt = self._queue.get_nowait()
             except queue.Empty:
-                expired = True
                 break
             if nxt is _SHUTDOWN:
                 shutdown = True
@@ -589,34 +568,10 @@ class MicroBatchServer:
             self._capacity.release()
             batch.append(nxt)
             samples += nxt.n
-        self._adapt_wait(depth_at_start, samples, expired)
         self._dispatch(batch)
         if shutdown:
             self._drain_remaining()
         return shutdown
-
-    def _adapt_wait(self, depth_at_start: int, samples: int, expired: bool) -> None:
-        """Load-aware window sizing (dispatcher thread only).
-
-        A backlog already ``max_batch`` requests deep at window start
-        means waiting is pure latency (the batch fills straight from the
-        queue) — halve the window.  A window that expired with an
-        unfilled batch means load is light and batching opportunity is
-        being left on the table — grow it back toward the configured
-        maximum (additive term so growth restarts from a zero window).
-        """
-        cfg = self.config
-        if not cfg.adaptive_wait or cfg.max_wait_ms == 0:
-            return
-        if depth_at_start >= cfg.max_batch:
-            self._wait_ms *= 0.5
-            if self._wait_ms < 1e-3:  # below clock resolution: stop pretending
-                self._wait_ms = 0.0
-        elif expired and samples < cfg.max_batch:
-            self._wait_ms = min(cfg.max_wait_ms, self._wait_ms * 1.5 + 0.05)
-        else:
-            return
-        self.stats.effective_wait_ms = self._wait_ms
 
     def _drain_remaining(self) -> None:
         """Serve everything still queued at shutdown (no coalescing wait).
@@ -669,7 +624,7 @@ class MicroBatchServer:
         return live
 
     def _dispatch(self, batch: list[_Request]) -> None:
-        """Group a dispatch window by sample shape, run, scatter results."""
+        """Group one dispatch by sample shape, run, scatter results."""
         batch = self._shed_expired(batch)
         # Claim every future first: set_running_or_notify_cancel() returns
         # False for a future the client already cancelled (dropped here)
@@ -679,7 +634,7 @@ class MicroBatchServer:
         batch = [req for req in batch if req.future.set_running_or_notify_cancel()]
         # group by sample shape AND dtype: concatenating mixed dtypes
         # would silently promote one client's request because of what
-        # unrelated traffic happened to share its dispatch window
+        # unrelated traffic happened to share its dispatch
         groups: dict[tuple, list[_Request]] = {}
         for req in batch:
             groups.setdefault((req.x.shape[1:], req.x.dtype.str), []).append(req)
@@ -697,7 +652,7 @@ class MicroBatchServer:
                         self._injector.apply_delay(req.fault)
                     if any(req.fault == "crash" for req in group):
                         raise InjectedFaultError(
-                            "injected crash (FaultPlan) in dispatch window"
+                            "injected crash (FaultPlan) in dispatch"
                         )
                 xs = group[0].x if len(group) == 1 else np.concatenate([r.x for r in group])
                 traced = [req for req in group if req.trace is not None]
@@ -737,6 +692,7 @@ class MicroBatchServer:
                     len(group),
                     int(xs.shape[0]),
                     [(resolved - req.t_submit) * 1e3 for req in group],
+                    [(exec_start - req.t_submit) * 1e3 for req in group],
                 )
             except BaseException as exc:  # propagate to every waiting client
                 self.stats.count(errors=len(group))

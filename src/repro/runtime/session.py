@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import Future
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -168,13 +168,7 @@ def spec_to_json(spec: SessionSpec) -> dict[str, Any]:
         "output_shape": None if spec.output_shape is None else list(spec.output_shape),
     }
     if spec.serving_config is not None:
-        sc = spec.serving_config
-        out["serving_config"] = {
-            "max_batch": sc.max_batch,
-            "max_wait_ms": sc.max_wait_ms,
-            "queue_depth": sc.queue_depth,
-            "adaptive_wait": sc.adaptive_wait,
-        }
+        out["serving_config"] = asdict(spec.serving_config)
     return out
 
 
@@ -186,7 +180,9 @@ def spec_from_json(obj: dict[str, Any]) -> SessionSpec:
     Optional: ``model_kwargs``, ``optimize_graph``, ``opt_level``,
     ``arena_max_bytes``, ``output_shape``, ``serving_config`` (a dict of
     :class:`~repro.runtime.serving.ServingConfig` fields).  Unknown keys
-    raise ``ValueError`` — a typo'd knob must not silently default.
+    — top-level or inside ``serving_config`` — raise ``ValueError``
+    naming them: a typo'd knob must not silently default, and a spec
+    file carrying fields ``ServingConfig`` no longer has says which.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"spec must be a JSON object, got {type(obj).__name__}")
@@ -216,7 +212,14 @@ def spec_from_json(obj: dict[str, Any]) -> SessionSpec:
     if obj.get("output_shape") is not None:
         kwargs["output_shape"] = tuple(int(d) for d in obj["output_shape"])
     if obj.get("serving_config") is not None:
-        kwargs["serving_config"] = ServingConfig(**obj["serving_config"])
+        sc = obj["serving_config"]
+        if not isinstance(sc, dict):
+            raise ValueError(
+                f"serving_config must be a JSON object, got {type(sc).__name__}")
+        unknown = sorted(set(sc) - {f.name for f in fields(ServingConfig)})
+        if unknown:
+            raise ValueError(f"unknown serving_config key(s): {', '.join(unknown)}")
+        kwargs["serving_config"] = ServingConfig(**sc)
     return SessionSpec(**kwargs)
 
 

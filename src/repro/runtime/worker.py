@@ -167,7 +167,6 @@ class ModelHost:
             "errors", "shed", "timed_out",
         )}
         windows = []
-        effective_wait = 0.0
         for name, (_, _, stats) in sorted(entries.items()):
             snap = stats.snapshot()
             snap.pop("metrics", None)  # the shared registry is shipped once, below
@@ -177,10 +176,8 @@ class ModelHost:
                     max(totals[key], snap[key]) if key == "max_batch_seen"
                     else totals[key] + snap[key]
                 )
-            effective_wait = max(effective_wait, snap["effective_wait_ms"])
             windows.append(stats._latency.window())
-        merged = {**totals, "effective_wait_ms": effective_wait,
-                  "metrics": self.registry.snapshot(), "models": per_model}
+        merged = {**totals, "metrics": self.registry.snapshot(), "models": per_model}
         merged["mean_batch"] = (
             merged["samples"] / merged["batches"] if merged["batches"] else 0.0
         )

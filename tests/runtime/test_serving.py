@@ -4,8 +4,10 @@ The load-bearing claims under test:
 
 * a session shared by many threads computes exactly what per-thread
   executors compute (no scratch-buffer cross-contamination);
-* the micro-batch dispatcher coalesces concurrent requests, scatters
-  results to the right futures, and propagates errors;
+* the micro-batch dispatcher runs what is queued the moment the runner
+  is free (a lone request never waits; requests queued behind a busy
+  runner coalesce into the next batch), scatters results to the right
+  futures, and propagates errors;
 * a capped arena keeps its retained footprint bounded under a
   many-shape request stream while outputs stay correct.
 """
@@ -28,6 +30,8 @@ from repro.runtime import (
     MicroBatchServer,
     ReferenceExecutor,
     ServingConfig,
+    spec_from_json,
+    spec_to_json,
 )
 from repro.utils.rng import make_rng
 
@@ -60,6 +64,35 @@ def compiled_session():
 def inputs():
     rng = make_rng(11)
     return [rng.standard_normal((2, 3, 8, 8)).astype(np.float32) for _ in range(N_THREADS)]
+
+
+class _GatedRunner:
+    """Runner that records every batch it is handed, signals entry, and
+    blocks until released — so a test decides exactly what is queued
+    while the dispatcher is busy, with no sleeps and no timers."""
+
+    def __init__(self, fn=lambda x: x):
+        self.fn = fn
+        self.calls: list[tuple] = []  # (shape, dtype) per runner call
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def __call__(self, x):
+        self.calls.append((x.shape, x.dtype))
+        self.entered.set()
+        assert self.release.wait(10), "test never released the runner"
+        return self.fn(x)
+
+    def block_dispatcher(self, server, x):
+        """Submit ``x`` and wait until the dispatcher is inside the
+        runner with it: everything submitted next queues behind it."""
+        fut = server.submit(x)
+        assert self.entered.wait(10)
+        return fut
+
+
+def _one(value=0.0, shape=(1, 1, 2, 2), dtype=np.float32):
+    return np.full(shape, value, dtype)
 
 
 def _hammer(n_threads, fn):
@@ -137,7 +170,7 @@ class TestMicroBatchServer:
         """With max_batch=1 nothing is coalesced: results are bitwise
         identical to calling the executor directly."""
         with MicroBatchServer(
-            compiled_session.executor.run, ServingConfig(max_batch=1, max_wait_ms=0)
+            compiled_session.executor.run, ServingConfig(max_batch=1)
         ) as server:
             for x in inputs[:3]:
                 assert np.array_equal(server.run(x), compiled_session.run(x))
@@ -147,38 +180,45 @@ class TestMicroBatchServer:
         ref = ReferenceExecutor(session.graph)
         singles = [x[:1] for x in inputs]
         expected = [ref.run(x) for x in singles]
-        with MicroBatchServer(session.run, ServingConfig(max_batch=8, max_wait_ms=20)) as server:
-            results: dict[int, np.ndarray] = {}
+        runner = _GatedRunner(session.run)
+        with MicroBatchServer(runner, ServingConfig(max_batch=N_THREADS)) as server:
+            blocker = runner.block_dispatcher(server, singles[0])
+            futures: dict = {}
 
             def worker(i):
-                for _ in range(N_ITERS):
-                    results[i] = server.submit(singles[i]).result(timeout=30)
+                futures[i] = server.submit(singles[i])
 
-            _hammer(N_THREADS, worker)
+            _hammer(N_THREADS, worker)  # all queued behind the busy runner
+            runner.release.set()
+            blocker.result(timeout=30)
+            results = {i: fut.result(timeout=30) for i, fut in futures.items()}
             stats = server.stats
-            assert stats.requests == N_THREADS * N_ITERS
-            assert stats.samples == N_THREADS * N_ITERS
-            # coalescing actually happened: fewer dispatches than requests
-            assert stats.batches < stats.requests
-            assert stats.mean_batch > 1.0
-            assert stats.max_batch_seen > 1
+            assert stats.requests == stats.samples == N_THREADS + 1
+            # the concurrent submits came out as ONE batch, not N_THREADS
+            assert stats.batches == 2
+            assert stats.max_batch_seen == N_THREADS
         for i, out in results.items():
             assert out.shape == expected[i].shape
             np.testing.assert_allclose(out, expected[i], rtol=1e-4, atol=1e-5)
 
     def test_bare_sample_promoted(self, compiled_session):
-        with MicroBatchServer(compiled_session.run, ServingConfig(max_wait_ms=0)) as server:
+        with MicroBatchServer(compiled_session.run) as server:
             out = server.run(np.zeros((3, 8, 8), np.float32))
             assert out.shape == (1, 10)
 
     def test_mixed_dtypes_grouped_not_promoted(self):
         """Same-shape requests of different dtypes must not be
         concatenated — co-batched traffic would silently promote them."""
-        with MicroBatchServer(lambda x: x, ServingConfig(max_batch=8, max_wait_ms=50)) as server:
-            f32 = server.submit(np.ones((1, 1, 2, 2), np.float32))
-            f64 = server.submit(np.ones((1, 1, 2, 2), np.float64))
-            assert f32.result(timeout=10).dtype == np.float32
+        runner = _GatedRunner()
+        with MicroBatchServer(runner, ServingConfig(max_batch=8)) as server:
+            runner.block_dispatcher(server, _one())
+            f32 = [server.submit(_one(1.0)) for _ in range(2)]
+            f64 = server.submit(_one(1.0, dtype=np.float64))
+            runner.release.set()
+            assert all(f.result(timeout=10).dtype == np.float32 for f in f32)
             assert f64.result(timeout=10).dtype == np.float64
+        # taken in one dispatch, run as one group per dtype
+        assert runner.calls[1:] == [((2, 1, 2, 2), np.float32), ((1, 1, 2, 2), np.float64)]
 
     def test_dropped_server_does_not_leak_dispatcher_thread(self):
         """A server dropped without close() must shut its dispatcher down
@@ -195,28 +235,24 @@ class TestMicroBatchServer:
         assert not thread.is_alive()
 
     def test_mixed_shapes_grouped_not_mixed(self):
-        """Requests of different sample shapes share a dispatch window but
-        run as separate shape groups."""
-        calls = []
-
-        def runner(x):
-            calls.append(x.shape)
-            return x * 2.0
-
-        with MicroBatchServer(runner, ServingConfig(max_batch=16, max_wait_ms=50)) as server:
+        """Requests of different sample shapes taken in one dispatch run
+        as separate shape groups."""
+        runner = _GatedRunner(lambda x: x * 2.0)
+        with MicroBatchServer(runner, ServingConfig(max_batch=16)) as server:
             a = np.ones((1, 2, 4, 4), np.float32)
             b = np.ones((1, 2, 6, 6), np.float32)
-            futs = [server.submit(a), server.submit(a), server.submit(b)]
+            runner.block_dispatcher(server, a)
+            futs = [server.submit(a), server.submit(b), server.submit(a)]
+            runner.release.set()
             outs = [f.result(timeout=10) for f in futs]
         np.testing.assert_array_equal(outs[0], a * 2)
-        np.testing.assert_array_equal(outs[2], b * 2)
-        assert all(shape[2:] in ((4, 4), (6, 6)) for shape in calls)
-        # the two (4,4) requests were batched together at some point or
-        # dispatched singly — but never concatenated with the (6,6) one
-        assert not any(shape[2:] == (4, 6) or shape[1] == 4 for shape in calls)
+        np.testing.assert_array_equal(outs[1], b * 2)
+        np.testing.assert_array_equal(outs[2], a * 2)
+        # the two (4,4) requests ran as one batch, the (6,6) one alone
+        assert [shape for shape, _ in runner.calls[1:]] == [(2, 2, 4, 4), (1, 2, 6, 6)]
 
     def test_oversized_request_served_whole(self):
-        with MicroBatchServer(lambda x: x + 1, ServingConfig(max_batch=2, max_wait_ms=0)) as server:
+        with MicroBatchServer(lambda x: x + 1, ServingConfig(max_batch=2)) as server:
             x = np.zeros((5, 1, 2, 2), np.float32)
             out = server.run(x)
             assert out.shape == x.shape and np.all(out == 1)
@@ -230,7 +266,7 @@ class TestMicroBatchServer:
             calls.append(x.shape)
             return None if len(calls) == 1 else x
 
-        with MicroBatchServer(runner, ServingConfig(max_batch=1, max_wait_ms=0)) as server:
+        with MicroBatchServer(runner, ServingConfig(max_batch=1)) as server:
             bad = server.submit(np.zeros((1, 1, 2, 2), np.float32))
             with pytest.raises((TypeError, AttributeError)):
                 bad.result(timeout=10)
@@ -243,8 +279,11 @@ class TestMicroBatchServer:
         """A runner returning fewer rows than samples must fail the whole
         group loudly — never resolve a co-batched client with an empty
         or truncated slice."""
-        with MicroBatchServer(lambda x: x[:1], ServingConfig(max_batch=4, max_wait_ms=50)) as server:
-            futs = [server.submit(np.zeros((1, 1, 2, 2), np.float32)) for _ in range(3)]
+        runner = _GatedRunner(lambda x: x[:1])
+        with MicroBatchServer(runner, ServingConfig(max_batch=4)) as server:
+            runner.block_dispatcher(server, _one())
+            futs = [server.submit(_one()) for _ in range(3)]  # one batch of 3
+            runner.release.set()
             for fut in futs:
                 with pytest.raises(ValueError, match="rows for a batch of"):
                     fut.result(timeout=10)
@@ -258,7 +297,7 @@ class TestMicroBatchServer:
             gate.wait(5)
             return x
 
-        server = MicroBatchServer(runner, ServingConfig(max_batch=2, max_wait_ms=0))
+        server = MicroBatchServer(runner, ServingConfig(max_batch=2))
         futs = [server.submit(np.zeros((1, 1, 2, 2), np.float32)) for _ in range(9)]
         gate.set()
         server.close(timeout=30)
@@ -270,7 +309,7 @@ class TestMicroBatchServer:
         def runner(x):
             raise RuntimeError("kernel exploded")
 
-        with MicroBatchServer(runner, ServingConfig(max_batch=4, max_wait_ms=20)) as server:
+        with MicroBatchServer(runner, ServingConfig(max_batch=4)) as server:
             futs = [server.submit(np.zeros((1, 1, 2, 2), np.float32)) for _ in range(3)]
             for fut in futs:
                 with pytest.raises(RuntimeError, match="kernel exploded"):
@@ -284,7 +323,7 @@ class TestMicroBatchServer:
             slow.wait(0.05)
             return x
 
-        server = MicroBatchServer(runner, ServingConfig(max_batch=1, max_wait_ms=0))
+        server = MicroBatchServer(runner, ServingConfig(max_batch=1))
         futs = [server.submit(np.zeros((1, 1, 2, 2), np.float32)) for _ in range(6)]
         server.close(timeout=30)
         for fut in futs:
@@ -299,7 +338,7 @@ class TestMicroBatchServer:
             gate.wait(5)
             return x + 1
 
-        with MicroBatchServer(runner, ServingConfig(max_batch=1, max_wait_ms=0)) as server:
+        with MicroBatchServer(runner, ServingConfig(max_batch=1)) as server:
             # first request occupies the dispatcher while we queue + cancel
             blocked = server.submit(np.zeros((1, 1, 2, 2), np.float32))
             doomed = server.submit(np.zeros((1, 1, 2, 2), np.float32))
@@ -324,7 +363,7 @@ class TestMicroBatchServer:
                 server.submit(np.zeros((2, 2), np.float32))
 
     def test_accepts_object_with_run_method(self, compiled_session):
-        with MicroBatchServer(compiled_session.executor, ServingConfig(max_wait_ms=0)) as server:
+        with MicroBatchServer(compiled_session.executor) as server:
             out = server.run(np.zeros((1, 3, 8, 8), np.float32))
             assert out.shape == (1, 10)
 
@@ -333,7 +372,7 @@ class TestMicroBatchServer:
             MicroBatchServer(object())
 
     @pytest.mark.parametrize(
-        "kwargs", [{"max_batch": 0}, {"max_wait_ms": -1.0}, {"queue_depth": 0}]
+        "kwargs", [{"max_batch": 0}, {"queue_depth": -1}, {"queue_depth": 0}]
     )
     def test_config_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -341,65 +380,47 @@ class TestMicroBatchServer:
 
 
 # ----------------------------------------------------------------------
-# Adaptive batching window + latency tracking
+# Work-conserving dispatch (no timer: batch size follows load) + latency
+# tracking
 # ----------------------------------------------------------------------
-class TestAdaptiveWait:
-    def test_deep_backlog_shrinks_window(self):
-        """A queue already >= max_batch deep at window start means waiting
-        buys nothing — the effective window must come down."""
-        gate = threading.Event()
+class TestWorkConservingDispatch:
+    def test_lone_request_runs_immediately(self):
+        """An idle dispatcher hands a lone request straight to the runner
+        — nothing else has to arrive, and no window has to elapse."""
+        runner = _GatedRunner()
+        with MicroBatchServer(runner, ServingConfig(max_batch=8)) as server:
+            fut = server.submit(_one())
+            assert runner.entered.wait(10)  # before any second submit
+            assert server._queue.empty()
+            assert runner.calls == [((1, 1, 2, 2), np.float32)]
+            runner.release.set()
+            fut.result(timeout=10)
+            assert server.stats.batches == 1
+            assert server.stats.max_batch_seen == 1
 
-        def runner(x):
-            gate.wait(0.002)
-            return x
+    def test_requests_queued_behind_busy_runner_coalesce(self):
+        k = 5
+        runner = _GatedRunner()
+        with MicroBatchServer(runner, ServingConfig(max_batch=8)) as server:
+            runner.block_dispatcher(server, _one())
+            futs = [server.submit(_one(i)) for i in range(k)]
+            runner.release.set()
+            for i, fut in enumerate(futs):  # rows scattered back in order
+                np.testing.assert_array_equal(fut.result(timeout=10), _one(i))
+            assert [shape[0] for shape, _ in runner.calls] == [1, k]
+            assert server.stats.batches == 2
+            assert server.stats.max_batch_seen == k
 
-        cfg = ServingConfig(max_batch=2, max_wait_ms=20.0)
-        server = MicroBatchServer(runner, cfg)
-        assert server.stats.effective_wait_ms == 20.0
-        futs = [server.submit(np.zeros((1, 1, 2, 2), np.float32)) for _ in range(24)]
-        gate.set()
-        for fut in futs:
-            fut.result(timeout=30)
-        assert server.stats.effective_wait_ms < cfg.max_wait_ms
-        server.close()
-
-    def test_light_load_grows_window_back(self):
-        gate = threading.Event()
-
-        def runner(x):
-            gate.wait(5)
-            return x
-
-        cfg = ServingConfig(max_batch=2, max_wait_ms=4.0)
-        with MicroBatchServer(runner, cfg) as server:
-            # flood while the runner is gated: every dispatch window opens
-            # against a deep backlog, so the window halves repeatedly
-            futs = [server.submit(np.zeros((1, 1, 2, 2), np.float32)) for _ in range(24)]
-            gate.set()
-            for fut in futs:
-                fut.result(timeout=30)
-            shrunken = server.stats.effective_wait_ms
-            assert shrunken < cfg.max_wait_ms / 2
-            # paced singles: every window expires unfilled -> growth back
-            # toward (and capped at) the configured maximum
-            for _ in range(24):
-                server.submit(np.zeros((1, 1, 2, 2), np.float32)).result(timeout=30)
-            assert server.stats.effective_wait_ms > shrunken
-            assert server.stats.effective_wait_ms <= cfg.max_wait_ms
-
-    def test_adaptive_disabled_keeps_fixed_window(self):
-        cfg = ServingConfig(max_batch=2, max_wait_ms=5.0, adaptive_wait=False)
-        with MicroBatchServer(lambda x: x, cfg) as server:
-            futs = [server.submit(np.zeros((1, 1, 2, 2), np.float32)) for _ in range(16)]
-            for fut in futs:
-                fut.result(timeout=30)
-            assert server.stats.effective_wait_ms == 5.0
-
-    def test_zero_wait_stays_zero(self):
-        with MicroBatchServer(lambda x: x, ServingConfig(max_batch=4, max_wait_ms=0)) as server:
-            for _ in range(6):
-                server.run(np.zeros((1, 1, 2, 2), np.float32), timeout=30)
-            assert server.stats.effective_wait_ms == 0.0
+    def test_backlog_splits_at_max_batch(self):
+        max_batch = 4
+        runner = _GatedRunner()
+        with MicroBatchServer(runner, ServingConfig(max_batch=max_batch)) as server:
+            runner.block_dispatcher(server, _one())
+            futs = [server.submit(_one(i)) for i in range(2 * max_batch + 1)]
+            runner.release.set()
+            for i, fut in enumerate(futs):
+                np.testing.assert_array_equal(fut.result(timeout=10), _one(i))
+            assert [shape[0] for shape, _ in runner.calls] == [1, max_batch, max_batch, 1]
 
 
 class TestLatencyTracking:
@@ -408,7 +429,7 @@ class TestLatencyTracking:
             time.sleep(0.002)
             return x
 
-        with MicroBatchServer(runner, ServingConfig(max_batch=4, max_wait_ms=1.0)) as server:
+        with MicroBatchServer(runner, ServingConfig(max_batch=4)) as server:
             futs = [server.submit(np.zeros((1, 1, 2, 2), np.float32)) for _ in range(20)]
             for fut in futs:
                 fut.result(timeout=30)
@@ -437,12 +458,12 @@ class TestLatencyTracking:
     def test_snapshot_is_picklable_and_complete(self):
         import pickle
 
-        with MicroBatchServer(lambda x: x, ServingConfig(max_wait_ms=0)) as server:
+        with MicroBatchServer(lambda x: x) as server:
             server.run(np.zeros((1, 1, 2, 2), np.float32), timeout=30)
             snap = pickle.loads(pickle.dumps(server.stats.snapshot()))
         assert snap["requests"] == 1 and snap["samples"] == 1
         for key in ("batches", "errors", "mean_batch", "max_batch_seen",
-                    "effective_wait_ms", "p50_ms", "p95_ms"):
+                    "p50_ms", "p95_ms"):
             assert key in snap
         assert snap["p50_ms"] > 0
 
@@ -458,7 +479,7 @@ class TestSessionAsyncAPI:
             (3, 8, 8),
             pattern_set=ps,
             assignments=assignments,
-            serving_config=ServingConfig(max_batch=4, max_wait_ms=10),
+            serving_config=ServingConfig(max_batch=4),
         ) as session:
             assert session.serving_stats is None  # not started yet
             x = make_rng(1).standard_normal((1, 3, 8, 8)).astype(np.float32)
@@ -499,6 +520,40 @@ class TestSessionAsyncAPI:
         second = session.run_async(x).result(timeout=30)  # fresh server
         np.testing.assert_array_equal(first, second)
         session.close()
+
+
+# ----------------------------------------------------------------------
+# Spec codec: the nested serving_config is validated, not splatted
+# ----------------------------------------------------------------------
+class TestSpecCodec:
+    BASE = {"model": "smallcnn", "input_shape": [3, 8, 8], "bundle_path": "bundle.npz"}
+
+    def test_serving_config_round_trip(self):
+        spec = spec_from_json(
+            {**self.BASE, "serving_config": {"max_batch": 4, "queue_depth": 32}}
+        )
+        assert spec.serving_config == ServingConfig(max_batch=4, queue_depth=32)
+        wire = spec_to_json(spec)
+        assert wire["serving_config"] == {"max_batch": 4, "queue_depth": 32}
+        assert spec_from_json(wire) == spec
+
+    @pytest.mark.parametrize(
+        "serving_config, named",
+        [
+            # a spec file written before the coalescing window was removed
+            ({"max_batch": 4, "max_wait_ms": 2.0, "adaptive_wait": True},
+             "adaptive_wait, max_wait_ms"),
+            ({"max_bacth": 4}, "max_bacth"),  # must not silently default
+        ],
+        ids=["stale", "typo"],
+    )
+    def test_unknown_serving_config_key_raises(self, serving_config, named):
+        with pytest.raises(ValueError, match=rf"unknown serving_config key\(s\): {named}$"):
+            spec_from_json({**self.BASE, "serving_config": serving_config})
+
+    def test_non_dict_serving_config_raises(self):
+        with pytest.raises(ValueError, match="serving_config must be a JSON object, got list"):
+            spec_from_json({**self.BASE, "serving_config": [8, 1024]})
 
 
 # ----------------------------------------------------------------------
@@ -544,52 +599,44 @@ class TestArenaCapUnderManyShapes:
 class TestAdmissionAndDeadlines:
     @staticmethod
     def _blocked_server(queue_depth=1):
-        """Server whose runner blocks until ``release`` is set — lets a
-        test fill the queue deterministically."""
-        release = threading.Event()
-
-        def runner(x):
-            release.wait(10)
-            return x.reshape(x.shape[0], -1).copy()
-
-        cfg = ServingConfig(max_batch=1, max_wait_ms=0, queue_depth=queue_depth,
-                            adaptive_wait=False)
-        return MicroBatchServer(runner, cfg), release
+        """Server whose runner blocks until released — lets a test fill
+        the queue deterministically."""
+        runner = _GatedRunner(lambda x: x.reshape(x.shape[0], -1).copy())
+        cfg = ServingConfig(max_batch=1, queue_depth=queue_depth)
+        return MicroBatchServer(runner, cfg), runner
 
     def test_queue_full_typed_error_counts_shed(self):
         from repro.runtime import QueueFullError
 
-        server, release = self._blocked_server(queue_depth=1)
+        server, runner = self._blocked_server(queue_depth=1)
         x = np.zeros((1, 3, 8, 8), np.float32)
         try:
-            first = server.submit(x)  # dispatcher takes it, blocks in runner
-            time.sleep(0.05)
+            first = runner.block_dispatcher(server, x)
             second = server.submit(x)  # occupies the single queue permit
             with pytest.raises(QueueFullError, match="shed"):
                 server.submit(x, timeout=0.05)
             assert server.stats.shed == 1
-            release.set()
+            runner.release.set()
             assert first.result(timeout=10).shape == (1, 192)
             assert second.result(timeout=10).shape == (1, 192)
             assert server.stats.errors == 0  # shed is not an execution error
         finally:
-            release.set()
+            runner.release.set()
             server.close()
 
     def test_queue_full_is_runtimeerror_for_backcompat(self):
         from repro.runtime import QueueFullError
 
-        server, release = self._blocked_server(queue_depth=1)
+        server, runner = self._blocked_server(queue_depth=1)
         x = np.zeros((1, 3, 8, 8), np.float32)
         try:
-            server.submit(x)
-            time.sleep(0.05)
+            runner.block_dispatcher(server, x)
             server.submit(x)
             with pytest.raises(RuntimeError):  # pre-existing except clauses still catch it
                 server.submit(x, timeout=0.05)
             assert issubclass(QueueFullError, RuntimeError)
         finally:
-            release.set()
+            runner.release.set()
             server.close()
 
     def test_expired_deadline_rejected_at_submission(self):
@@ -603,32 +650,24 @@ class TestAdmissionAndDeadlines:
     def test_deadline_expiring_in_queue_sheds_before_dispatch(self):
         from repro.runtime import DeadlineExceededError
 
-        calls = []
-        release = threading.Event()
-
-        def runner(batch):
-            calls.append(batch.shape)
-            release.wait(10)
-            return batch.reshape(batch.shape[0], -1).copy()
-
-        cfg = ServingConfig(max_batch=1, max_wait_ms=0, queue_depth=8, adaptive_wait=False)
-        server = MicroBatchServer(runner, cfg)
+        server, runner = self._blocked_server(queue_depth=8)
         x = np.zeros((1, 3, 8, 8), np.float32)
         try:
-            blocker = server.submit(x)  # holds the dispatcher in the runner
-            time.sleep(0.05)
-            doomed = server.submit(x, deadline=0.1)  # expires while queued
-            time.sleep(0.2)
-            release.set()
+            blocker = runner.block_dispatcher(server, x)
+            doomed_at = time.monotonic() + 0.2
+            doomed = server.submit(x, deadline_at=doomed_at)  # queued, alive
+            while time.monotonic() < doomed_at:  # expires behind the busy runner
+                time.sleep(0.01)
+            runner.release.set()
             with pytest.raises(DeadlineExceededError, match="shed before dispatch"):
                 doomed.result(timeout=10)
             assert blocker.result(timeout=10).shape == (1, 192)
             assert server.stats.timed_out == 1
-            # the runner never saw the shed request (executed batches only)
-            assert all(shape[0] == 1 for shape in calls)
+            # the runner never saw the shed request: only the blocker ran
+            assert len(runner.calls) == 1
             assert server.stats.samples == 1
         finally:
-            release.set()
+            runner.release.set()
             server.close()
 
     def test_deadline_met_serves_normally(self):
@@ -667,7 +706,7 @@ class TestServerFaultInjection:
         plan = FaultPlan(seed=5, crash_rate=0.3)
         expected = [plan.decide(i) == "crash" for i in range(16)]
         assert any(expected) and not all(expected)  # seed exercises both paths
-        cfg = ServingConfig(max_batch=1, max_wait_ms=0)  # solo windows: no co-batch blast radius
+        cfg = ServingConfig(max_batch=1)  # solo batches: no co-batch blast radius
         with MicroBatchServer(lambda x: x.reshape(x.shape[0], -1).copy(), cfg, faults=plan) as server:
             futs = [server.submit(np.zeros((1, 3, 8, 8), np.float32)) for _ in range(16)]
             for fut, crashes in zip(futs, expected):

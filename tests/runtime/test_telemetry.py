@@ -340,13 +340,17 @@ class TestServingStatsRegistry:
 
     def test_snapshot_includes_metrics_and_latency_stats(self):
         stats = ServingStats()
-        stats.record_batch(2, 4, [1.0, 2.0])
+        stats.record_batch(2, 4, [1.0, 2.0], [0.02, 0.7])
         snap = stats.snapshot()
         assert snap["requests"] == 2 and snap["samples"] == 4
         assert snap["p99_ms"] >= snap["p95_ms"] >= snap["p50_ms"] > 0
         assert snap["mean_ms"] == pytest.approx(1.5)
         assert snap["max_ms"] == pytest.approx(2.0)
         assert "serving_request_latency_ms" in snap["metrics"]
+        # queue wait is an always-on histogram that resolves sub-0.5 ms waits
+        (row,) = snap["metrics"]["serving_queue_wait_ms"]["series"]
+        assert row["count"] == 2 and row["sum"] == pytest.approx(0.72)
+        assert row["buckets"][0] == [0.05, 1]
 
     def test_multi_field_views_are_not_torn(self):
         """The torn-read fix: every count() moves requests and samples
@@ -547,6 +551,17 @@ class TestAdminServer:
             # serve under the default name) plus the router's shard label
             assert 'serving_requests_total{model="default",shard="0"}' in text
             assert 'serving_requests_total{model="default",shard="1"}' in text
+
+            # the always-on queue-wait histogram is exported with the same
+            # labels and observes every request the batcher resolved
+            def queue_wait_counts_every_request():
+                prom = _parse_prom(_get(base + "/metrics")[1])
+                labels = [f'{{model="default",shard="{s}"}}' for s in (0, 1)]
+                waits = [prom.get("serving_queue_wait_ms_count" + lbl) for lbl in labels]
+                totals = [prom.get("serving_requests_total" + lbl) for lbl in labels]
+                return None not in waits and waits == totals and sum(waits) >= 6
+
+            assert _wait_until(queue_wait_counts_every_request)
 
             # traces are browsable
             status, text = _get(base + "/traces")
