@@ -1,7 +1,7 @@
 """Concurrent serving: micro-batched dispatch vs per-request dispatch.
 
-PatDNN's batched ``gemm`` kernels amortise one BLAS contraction per
-pattern-union coordinate over the whole batch, so serving throughput
+PatDNN's batched ``gemm`` kernels pay the graph walk, padding and
+epilogue passes once per batch, so serving throughput
 hinges on actually *forming* batches out of concurrent single-sample
 traffic.  This bench stands up two :class:`MicroBatchServer` front-ends
 over one shared ``CompiledExecutor`` — one with ``max_batch=1`` (every
@@ -171,8 +171,8 @@ def test_microbatched_beats_per_request_dispatch(stack, samples, request):
               f"{single_stats.mean_batch:.2f}", single_stats.batches)
     table.add(f"micro-batched (max_batch={N_CLIENTS})", f"{thr_batched:.0f}", f"{t_batched:.3f}",
               f"{batched_stats.mean_batch:.2f}", batched_stats.batches)
-    table.note("shared CompiledExecutor (gemm level); batching amortises one BLAS "
-               "contraction per pattern-union coordinate across the whole micro-batch")
+    table.note("shared CompiledExecutor (gemm level); batching amortises the per-call "
+               "graph walk, padding and epilogue across the whole micro-batch")
     emit(table)
     assert thr_batched > thr_single, (
         f"micro-batched throughput {thr_batched:.0f} req/s did not beat "

@@ -22,14 +22,16 @@ Two products per layer:
                 ``np.add.reduceat`` segment reduction instead of an
                 ``np.add.at`` scatter
   ``gemm``      load-redundancy elimination taken to its numpy limit:
-                the FKW arrays are scattered (at compile time) into one
-                dense (F, C) matrix per kernel coordinate in the
-                *pattern union*, and each shifted input slice is loaded
-                exactly once and reused across every filter through a
-                single BLAS contraction — coordinates absent from all
-                patterns are skipped outright.  This is the production
-                batch-serving level; the first three mirror the paper's
-                Figure 7 ladder structurally.
+                the FKW arrays are written (at compile time) into one
+                dense (F, U·C) matrix over the U kernel coordinates of
+                the *pattern union*; at run time each sample's U shifted
+                input slices are copied once into an (U·C, Ho·Wo)
+                im2col buffer and reused across every filter by a single
+                2-D BLAS call — coordinates absent from all patterns are
+                never loaded.  Every BLAS call has the same shape at any
+                batch size, so outputs are bitwise batch-invariant.
+                This is the production serving level; the first three
+                mirror the paper's Figure 7 ladder structurally.
   ============  =====================================================
 
   The epilogue (bias add + fused activation) is baked into the closure
@@ -39,8 +41,9 @@ Two products per layer:
 
   Kernels optionally cooperate with a
   :class:`repro.runtime.arena.BufferArena` (``fn(x, arena=...)``): the
-  padded-input scratch and output accumulator then come from the arena's
-  reusable pools instead of fresh allocations.
+  padded-input scratch, the output accumulator and ``gemm``'s im2col
+  buffer then come from the arena's reusable pools instead of fresh
+  allocations.
 
 * :class:`KernelCache` — memoises compiled closures by FKW signature +
   ``(stride, padding, opt_level, bias, activation)`` so repeated
@@ -86,10 +89,10 @@ def _padded(x: np.ndarray, padding: int, arena) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
-def _alloc_out(shape: tuple[int, ...], arena) -> np.ndarray:
+def _alloc_out(shape: tuple[int, ...], arena, zero: bool = True) -> np.ndarray:
     if arena is not None:
-        return arena.acquire(shape, zero=True)
-    return np.zeros(shape, dtype=np.float32)
+        return arena.acquire(shape, zero=zero)
+    return np.zeros(shape, dtype=np.float32) if zero else np.empty(shape, dtype=np.float32)
 
 
 def _epilogue(out: np.ndarray, bias: np.ndarray | None, activation: str | None) -> np.ndarray:
@@ -243,6 +246,12 @@ def _iter_pattern_selections(fkw: FKWLayer):
         yield pid, sel, owner_map[sel], fkw.index[sel].astype(np.int64)
 
 
+def _pattern_union(fkw: FKWLayer) -> list[tuple[int, int]]:
+    """Sorted kernel coordinates used by at least one stored kernel."""
+    pids = set(fkw.pattern_ids.tolist())  # not np.unique: its first call costs a lazy import
+    return sorted({coord for pid in pids for coord in fkw.pattern_set[pid].coords})
+
+
 def _kernel_lre(
     fkw: FKWLayer, stride: int, padding: int, bias: np.ndarray | None, activation: str | None
 ) -> KernelFn:
@@ -309,40 +318,52 @@ def _kernel_lre(
 def _kernel_gemm(
     fkw: FKWLayer, stride: int, padding: int, bias: np.ndarray | None, activation: str | None
 ) -> KernelFn:
-    """'+GEMM': per-coordinate scattered-weight contraction.
+    """'+GEMM': pattern-union im2col, one BLAS call per sample.
 
-    The LRE idea — load each shifted input slice once and reuse it across
-    kernels — taken to its limit in the numpy substrate: at compile time
-    the FKW arrays are scattered into one dense (F, C) weight matrix per
-    kernel coordinate appearing in *any* pattern (the pattern union); at
-    run time each union coordinate costs exactly one shifted slice view
-    plus one BLAS contraction reused by every filter at once.
-    Coordinates outside the union — and all connectivity-pruned kernels —
-    contribute nothing and are skipped.  Trades the per-kernel sparse
-    structure of ``'lre'`` for contraction throughput; bitwise semantics
-    are identical (the scatter is exact).
+    The LRE idea — load each input once and reuse it across every filter
+    — taken to its limit in the numpy substrate.  At compile time the FKW
+    arrays are written into one dense ``(F, U·C)`` weight matrix over the
+    U kernel coordinates appearing in *any* pattern (the pattern union);
+    coordinates outside the union are never loaded, and
+    connectivity-pruned kernels are zero columns.  At run time each
+    sample's U shifted input slices are copied into one ``(U·C, Ho·Wo)``
+    im2col buffer, which a single 2-D ``np.matmul`` multiplies straight
+    into the sample's output rows.
+
+    The per-sample loop is deliberate: every BLAS call has the same
+    shape at any batch size, so a sample's output is bitwise identical
+    whether it runs alone or inside a coalesced batch (a batch-folded or
+    stacked matmul lets BLAS pick a different kernel per batch size).
+    Trades the per-kernel sparse structure of ``'lre'`` for GEMM
+    throughput.
     """
     f, c, kh, kw = fkw.shape
-    coord_mats: dict[tuple[int, int], np.ndarray] = {}
+    union = _pattern_union(fkw)
+    slot = {coord: u for u, coord in enumerate(union)}
+    weight = np.zeros((f, len(union), c), np.float32)
     for pid, sel, owners, channels in _iter_pattern_selections(fkw):
-        for widx, (r, cc) in enumerate(fkw.pattern_set[pid].coords):
-            mat = coord_mats.setdefault((r, cc), np.zeros((f, c), np.float32))
-            # each (filter, channel) kernel occurs exactly once across
-            # all patterns, so the index pairs here are unique
-            np.add.at(mat, (owners, channels), fkw.weights[sel][:, widx])
-    coord_items = sorted(coord_mats.items())
+        taps = np.array([slot[coord] for coord in fkw.pattern_set[pid].coords])
+        # each (filter, channel) kernel occurs exactly once across all
+        # patterns, so plain assignment never overwrites a weight
+        weight[owners[:, None], taps[None, :], channels[:, None]] = fkw.weights[sel]
+    weight = weight.reshape(f, len(union) * c)
 
     def fn(x: np.ndarray, arena=None) -> np.ndarray:
         x, squeeze = _normalize_input(x, c)
         n, _, h, w = x.shape
         ho, wo = _out_hw(h, kh, stride, padding), _out_hw(w, kw, stride, padding)
         xp = _padded(x, padding, arena)
-        out = _alloc_out((n, f, ho, wo), arena)
-        for (r, cc), mat in coord_items:
-            xs = xp[:, :, r : r + stride * ho : stride, cc : cc + stride * wo : stride]
-            # one contraction per union coordinate: the shifted slice is
-            # read once and reused across all F filters
-            out += np.tensordot(mat, xs, axes=([1], [1])).transpose(1, 0, 2, 3)
+        out = _alloc_out((n, f, ho, wo), arena, zero=False)  # every row is overwritten
+        col = _alloc_out((len(union) * c, ho * wo), arena, zero=False)
+        col_taps = col.reshape(len(union), c, ho, wo)
+        rows = out.reshape(n, f, ho * wo)
+        for s in range(n):
+            xs = xp[s]
+            for u, (r, cc) in enumerate(union):
+                col_taps[u] = xs[:, r : r + stride * ho : stride, cc : cc + stride * wo : stride]
+            np.matmul(weight, col, out=rows[s])
+        if arena is not None:
+            arena.release(col)
         _epilogue(out, bias, activation)
         return _finish(out, squeeze, arena)
 
@@ -443,10 +464,19 @@ def generate_source(fkw: FKWLayer, opt_level: str = "lre", unroll_oc: int = 4, d
             body.append(f"          case {pid}: /* pattern {pid}: {coords} */ break;")
         body += ["        }", "      }"]
     elif opt_level == "gemm":
-        union = sorted({coord for pid in range(1, k + 1) for coord in fkw.pattern_set[pid].coords})
-        body.append(f"// pattern-union coordinates: {len(union)}/{kh * kw}")
-        for r, cc in union:
-            body.append(f"acc += sgemm(W_coord[{r}][{cc}], vload_shifted(input, {r}, {cc})); // slice loaded once, reused across all filters")
+        union = _pattern_union(fkw)
+        u = len(union)
+        body += [
+            f"// pattern-union coordinates: {u}/{kh * kw}; W_union[{f}][{u}*{c}] packed at compile time",
+            "for (n = 0; n < batch; n += 1) {",
+            f"  // im2col: {u} union coordinates x {c} channels -> col[{u}*{c}][out_h*out_w]",
+        ]
+        for slot, (r, cc) in enumerate(union):
+            body.append(f"  col[{slot}] = vload_shifted(input[n], {r}, {cc}); // slice loaded once")
+        body += [
+            "  sgemm(W_union, col, output[n]); // one call per sample, reused across all filters",
+            "}",
+        ]
     else:
         body += [
             "for (oc = 0; oc < tile_oc; oc += unroll_oc)" if opt_level == "lre" else "for (oc = 0; oc < tile_oc; oc += 1)",

@@ -614,6 +614,14 @@ class ShardedServer:
             while len(self._trace_sent) > self._TRACE_SENT_CAP:
                 self._trace_sent.pop(next(iter(self._trace_sent)))
 
+    def _trace_restamp(self, req_id: int, sent_at: float) -> None:
+        """Move a registered attempt's anchor to when the send returned
+        (unless a reply or crash already retired it)."""
+        with self._trace_lock:
+            entry = self._trace_sent.get(req_id)
+            if entry is not None:
+                self._trace_sent[req_id] = (entry[0], sent_at, *entry[2:])
+
     def _trace_reply(self, req_id: int) -> None:
         """A reply (result or error) landed: close the transport span."""
         with self._trace_lock:
@@ -1605,9 +1613,13 @@ class ShardedServer:
                     continue
                 shard.pending[req_id] = inflight
             trace = inflight.trace
-            # read before the send: a worker that dies on receipt lets the
-            # retry path claim the next attempt before this thread resumes
+            # read (and register the sampled attempt) before the send: a
+            # worker that dies on receipt lets the crash handler mark this
+            # attempt crashed, and the retry path claim the next attempt,
+            # before this thread resumes
             attempt_no = inflight.attempts
+            if trace is not None:
+                self._trace_register(req_id, trace, time.monotonic(), shard.index, attempt_no)
             try:
                 shard.endpoint.send_request(
                     token, req_id, x, inflight.deadline_at,
@@ -1625,9 +1637,7 @@ class ShardedServer:
                         shard=shard.index, attempt=attempt_no, kind=kind,
                         model=inflight.model,
                     )
-                    self._trace_register(
-                        req_id, trace, inflight.last_sent_at, shard.index, attempt_no
-                    )
+                    self._trace_restamp(req_id, inflight.last_sent_at)
                 return "sent"
             except Exception:
                 with shard.lock:
@@ -1637,6 +1647,9 @@ class ShardedServer:
                     # the crash handler beat us to it: the request is now
                     # its responsibility (rehomed or failed)
                     return "resolved"
+                if trace is not None:  # this attempt never left the router
+                    with self._trace_lock:
+                        self._trace_sent.pop(req_id, None)
                 # we still own this attempt — try another shard
 
     def _pick_shard(self, exclude: _Shard | None = None) -> _Shard | None:

@@ -128,10 +128,10 @@ class CompiledExecutor(ReferenceExecutor):
         pattern_set / assignments: pruning artifacts; ``assignments``
             maps conv node names to (F, C) pattern-id arrays.
         opt_level: codegen variant (``'no-opt'`` | ``'reorder'`` | ``'lre'``
-            | ``'gemm'``).  ``'gemm'`` — the default — is the batch-serving
-            production level (per-coordinate scattered-weight BLAS
-            contractions over the pattern union); the other three mirror
-            the paper's Figure 7 ladder structurally.
+            | ``'gemm'``).  ``'gemm'`` — the default — is the serving
+            production level (a pattern-union im2col, then one BLAS call
+            per sample, so outputs are bitwise batch-invariant); the
+            other three mirror the paper's Figure 7 ladder structurally.
         kernel_cache: compile-once cache; a private one is created when
             omitted.  Repeated identical layers share one closure
             (``kernel_cache.hits`` counts the saves).

@@ -1,9 +1,10 @@
 """Micro-batching serving front-end for the compiled runtime.
 
-PatDNN's batched FKW kernels are dramatically cheaper per sample at
-batch 8 than at batch 1 (one BLAS contraction per pattern-union
-coordinate amortises over the whole batch), but real traffic arrives as
-single samples from many concurrent clients.  :class:`MicroBatchServer`
+PatDNN's batched FKW kernels are cheaper per sample at batch 8 than at
+batch 1 (the graph walk, padding and epilogue passes are paid once per
+batch, while each sample still gets one same-shaped BLAS call per conv,
+so a reply never depends on what it was batched with), but real traffic
+arrives as single samples from many concurrent clients.  :class:`MicroBatchServer`
 bridges the two: client threads :meth:`~MicroBatchServer.submit`
 individual samples (or small batches) and get back
 :class:`concurrent.futures.Future`\\ s, while a single dispatcher thread

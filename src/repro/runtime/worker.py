@@ -158,7 +158,17 @@ class ModelHost:
         models (the shape the router's health loop always consumed) plus
         a per-model breakdown under ``"models"``.  The ``"metrics"`` key
         is the shared registry snapshot, whose serving_* series carry
-        ``model`` labels."""
+        ``model`` labels; the worker_* gauges report what the shared
+        arena and kernel cache hold at snapshot time."""
+        gauge = self.registry.gauge
+        gauge("worker_arena_footprint_bytes", "bytes held by the shared buffer arena").set(
+            self.arena.footprint_bytes)
+        gauge("worker_arena_evictions", "buffers the arena evicted under its byte cap").set(
+            self.arena.evictions)
+        gauge("worker_kernel_cache_entries", "distinct compiled conv kernels").set(
+            len(self.kernel_cache))
+        gauge("worker_kernel_cache_hits", "conv compilations the kernel cache saved").set(
+            self.kernel_cache.hits)
         with self._lock:
             entries = dict(self._models)
         per_model: dict[str, dict] = {}

@@ -144,9 +144,20 @@ class TestGeneratedSource:
         assert "format=FKW" in generate_source(fkw, "lre")
 
     def test_gemm_reuses_slices_across_filters(self):
+        """im2col over the U union coordinates x C channels, then one
+        sgemm per sample."""
         _, fkw, _ = _fkw()
         src = generate_source(fkw, "gemm")
-        assert "sgemm" in src and "pattern-union" in src
+        union = {coord for pid in set(fkw.pattern_ids.tolist()) for coord in fkw.pattern_set[pid].coords}
+        c = fkw.shape[1]
+        assert "pattern-union" in src
+        assert f"im2col: {len(union)} union coordinates x {c} channels" in src
+        assert src.count("vload_shifted(input[n]") == len(union)
+        assert src.count("sgemm(") == 1
+        lines = src.splitlines()
+        loop = lines.index("for (n = 0; n < batch; n += 1) {")
+        sgemm = next(i for i, line in enumerate(lines) if "sgemm(" in line)
+        assert loop < sgemm < lines.index("}", loop)
 
 
 class TestLRECounts:

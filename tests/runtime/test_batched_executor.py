@@ -2,8 +2,9 @@
 
 The engine-level contract of the batched rework: for every opt level,
 stride, padding, and batch size, ``CompiledExecutor.run`` on a whole
-batch equals ``ReferenceExecutor.run`` — and repeated identical layers
-compile once while scratch buffers recycle across calls.
+batch equals ``ReferenceExecutor.run`` — each sample's row bitwise equal
+to running it alone — and repeated identical layers compile once while
+scratch buffers recycle across calls.
 """
 
 import numpy as np
@@ -120,6 +121,20 @@ class TestBatchedEquality:
         expected = ReferenceExecutor(g).run(x)
         got = CompiledExecutor(g, ps, assignments, opt_level).run(x)
         np.testing.assert_allclose(got, expected, rtol=1e-4, atol=1e-4)
+
+    @pytest.mark.parametrize("opt_level", OPT_LEVELS)
+    def test_batch_invariant_bitwise(self, opt_level):
+        """A sample's output must not depend on what it is batched with:
+        2x2 layers with 64 channels are where BLAS switches kernels by
+        batch size, so any batch-folded GEMM shape shows up here."""
+        g, ps, assignments = _stack_graph(hw=2, chans=((64, 3), (64, 64)))
+        ex = CompiledExecutor(g, ps, assignments, opt_level)
+        x = np.random.default_rng(13).standard_normal((9, 3, 2, 2)).astype(np.float32)
+        singles = [ex.run(x[i : i + 1])[0] for i in range(len(x))]
+        for n in range(1, len(x) + 1):
+            batched = ex.run(x[:n])
+            for i in range(n):
+                assert np.array_equal(batched[i], singles[i]), f"N={n}, sample {i}"
 
     def test_no_bias_no_activation(self):
         g, ps, assignments = _conv_graph(1, 1, bias=False, activation=None)

@@ -33,6 +33,7 @@ from repro.runtime import (
     spec_from_json,
     spec_to_json,
 )
+from repro.runtime.cluster import projected_smallcnn_spec
 from repro.utils.rng import make_rng
 
 N_THREADS = 8
@@ -58,6 +59,13 @@ def _pruned_model(seed=7):
 def compiled_session():
     model, ps, assignments = _pruned_model()
     return InferenceSession(model, (3, 8, 8), pattern_set=ps, assignments=assignments)
+
+
+@pytest.fixture(scope="module")
+def wide_session(tmp_path_factory):
+    bundle = tmp_path_factory.mktemp("wide") / "bundle.npz"
+    with projected_smallcnn_spec(str(bundle), channels=(64, 64), in_size=4).build() as session:
+        yield session
 
 
 @pytest.fixture(scope="module")
@@ -175,31 +183,40 @@ class TestMicroBatchServer:
             for x in inputs[:3]:
                 assert np.array_equal(server.run(x), compiled_session.run(x))
 
-    def test_concurrent_submits_are_coalesced_and_correct(self, compiled_session, inputs):
-        session = compiled_session
-        ref = ReferenceExecutor(session.graph)
-        singles = [x[:1] for x in inputs]
-        expected = [ref.run(x) for x in singles]
-        runner = _GatedRunner(session.run)
-        with MicroBatchServer(runner, ServingConfig(max_batch=N_THREADS)) as server:
-            blocker = runner.block_dispatcher(server, singles[0])
-            futures: dict = {}
+    def test_concurrent_submits_are_coalesced_and_correct(self, compiled_session, wide_session, inputs):
+        """Coalesced replies are bitwise what ``session.run`` gives each
+        request alone — also on ``wide_session``, whose 2x2 64-channel
+        layers are where a batch-folded GEMM changes BLAS kernel with
+        batch size."""
+        rng = make_rng(5)
+        wide_inputs = [rng.standard_normal((1, 3, 4, 4)).astype(np.float32) for _ in range(N_THREADS)]
+        for session, singles in (
+            (compiled_session, [x[:1] for x in inputs]),
+            (wide_session, wide_inputs),
+        ):
+            ref = ReferenceExecutor(session.graph)
+            expected = [ref.run(x) for x in singles]
+            alone = [session.run(x) for x in singles]
+            runner = _GatedRunner(session.run)
+            with MicroBatchServer(runner, ServingConfig(max_batch=N_THREADS)) as server:
+                blocker = runner.block_dispatcher(server, singles[0])
+                futures: dict = {}
 
-            def worker(i):
-                futures[i] = server.submit(singles[i])
+                def worker(i):
+                    futures[i] = server.submit(singles[i])
 
-            _hammer(N_THREADS, worker)  # all queued behind the busy runner
-            runner.release.set()
-            blocker.result(timeout=30)
-            results = {i: fut.result(timeout=30) for i, fut in futures.items()}
-            stats = server.stats
-            assert stats.requests == stats.samples == N_THREADS + 1
-            # the concurrent submits came out as ONE batch, not N_THREADS
-            assert stats.batches == 2
-            assert stats.max_batch_seen == N_THREADS
-        for i, out in results.items():
-            assert out.shape == expected[i].shape
-            np.testing.assert_allclose(out, expected[i], rtol=1e-4, atol=1e-5)
+                _hammer(N_THREADS, worker)  # all queued behind the busy runner
+                runner.release.set()
+                blocker.result(timeout=30)
+                results = {i: fut.result(timeout=30) for i, fut in futures.items()}
+                stats = server.stats
+                assert stats.requests == stats.samples == N_THREADS + 1
+                # the concurrent submits came out as ONE batch, not N_THREADS
+                assert stats.batches == 2
+                assert stats.max_batch_seen == N_THREADS
+            for i, out in results.items():
+                assert np.array_equal(out, alone[i]), f"request {i} differs from its solo run"
+                np.testing.assert_allclose(out, expected[i], rtol=1e-4, atol=1e-5)
 
     def test_bare_sample_promoted(self, compiled_session):
         with MicroBatchServer(compiled_session.run) as server:

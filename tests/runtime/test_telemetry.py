@@ -563,6 +563,32 @@ class TestAdminServer:
 
             assert _wait_until(queue_wait_counts_every_request)
 
+            # each shard reports what its shared arena and kernel cache
+            # hold: scratch is retained once a shard has served, and the
+            # cache holds one entry per distinct compiled conv
+            with spec.build() as probe:
+                distinct_convs = len(probe.executor.kernel_cache)
+            assert distinct_convs > 0
+
+            def worker_resources_exported():
+                prom = _parse_prom(_get(base + "/metrics")[1])
+                served_shards = 0
+                for s in (0, 1):
+                    row = {name: prom.get(f'{name}{{shard="{s}"}}') for name in (
+                        "worker_arena_footprint_bytes", "worker_arena_evictions",
+                        "worker_kernel_cache_entries", "worker_kernel_cache_hits",
+                    )}
+                    served = prom.get(f'serving_requests_total{{model="default",shard="{s}"}}')
+                    if None in row.values() or row["worker_kernel_cache_entries"] != distinct_convs:
+                        return False
+                    if served:
+                        served_shards += 1
+                        if row["worker_arena_footprint_bytes"] <= 0:
+                            return False
+                return served_shards > 0
+
+            assert _wait_until(worker_resources_exported)
+
             # traces are browsable
             status, text = _get(base + "/traces")
             ids = json.loads(text)["trace_ids"]
