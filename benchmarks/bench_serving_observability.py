@@ -14,8 +14,10 @@ Acceptance gates:
   **5%** of the tracing-off p50 (plus a small absolute floor so
   sub-millisecond clock jitter cannot flake the gate); outputs stay
   correct and sampled requests really produce complete traces.
-* the measured numbers land in ``BENCH_observability.json`` at the repo
-  root, so the overhead is a tracked artifact, not a one-off claim.
+* in benchmark mode, the measured numbers land in
+  ``BENCH_observability.json`` at the repo root, so the overhead is a
+  tracked artifact, not a one-off claim (the ``--benchmark-disable``
+  fast pass leaves the committed file alone).
 
 ``trace_sample_rate=1.0`` is measured for the table as the worst case
 (every request traced end to end, spans shipped over the transport) but
@@ -133,7 +135,8 @@ def test_tracing_overhead_gate(spec, requests_pool, request):
         "rounds": rounds,
         "fast_pass": fast_pass,
     }
-    OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
+    if not fast_pass:  # the committed artifact holds benchmark-mode numbers only
+        OUT_PATH.write_text(json.dumps(results, indent=2) + "\n")
 
     table = ResultTable(
         f"tracing overhead — sequential closed loop, {n} requests, "
@@ -147,7 +150,8 @@ def test_tracing_overhead_gate(spec, requests_pool, request):
                   f"{m['mean_ms']:.3f}", f"{rel * 100:+.1f}%")
     table.note(f"gate: default-rate p50 <= off p50 * {GATE_RELATIVE} + "
                f"{GATE_FLOOR_MS} ms; full tracing shown unguarded as the "
-               f"worst case; numbers written to {OUT_PATH.name}")
+               "worst case; " + ("fast pass, nothing written" if fast_pass
+                                 else f"numbers written to {OUT_PATH.name}"))
     emit(table)
 
     assert default["p50_ms"] <= off["p50_ms"] * GATE_RELATIVE + GATE_FLOOR_MS, (

@@ -26,9 +26,9 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 # unmissable in CI output.
 SERVING_SUITES=(
     tests/runtime/test_serving.py tests/runtime/test_arena.py
-    tests/runtime/test_metrics.py tests/runtime/test_transport.py
-    tests/runtime/test_shm_ring.py tests/runtime/test_cluster.py
-    tests/runtime/test_resilience.py tests/runtime/test_telemetry.py
+    tests/runtime/test_transport.py tests/runtime/test_shm_ring.py
+    tests/runtime/test_cluster.py tests/runtime/test_resilience.py
+    tests/runtime/test_telemetry.py
 )
 CHAOS_SUITE=tests/runtime/test_chaos.py
 MEMBERSHIP_SUITE=tests/runtime/test_membership.py
@@ -42,11 +42,12 @@ done
 python -m pytest -x -q --timeout 300 "${ignores[@]}" "$@"
 
 # Named gate for the serving suites: the in-process micro-batcher +
-# arena, the shared metrics reservoir, the transport protocol (frame
-# codec edge cases + credit backpressure), the multi-process cluster
-# stack (spawned shard workers, shm AND loopback-TCP transports, crash
-# recovery), and the resilience layer (retries, breakers, deadlines,
-# slot hygiene), and the telemetry stack (metrics registry,
+# arena, the transport protocol (frame codec edge cases + the credit
+# gate that is every transport's slot free list), the shm payload
+# ring, the multi-process cluster stack (spawned shard workers, shm AND
+# loopback-TCP transports, crash recovery), the resilience layer
+# (retries, breakers, deadlines, slot hygiene), and the telemetry stack
+# (metrics registry and histogram quantiles — the one latency store —,
 # cross-transport tracing, admin endpoint).
 # The benchmarks pass below picks up the serving throughput benches
 # (bench_serving_concurrent.py, bench_serving_cluster.py,

@@ -77,7 +77,6 @@ from repro.runtime.resilience import (
     UnknownModelError,
 )
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.metrics import LatencyReservoir
 from repro.runtime.serving import MicroBatchServer, ServingConfig, ServingStats
 from repro.runtime.session import (
     DEFAULT_MODEL,
@@ -145,7 +144,6 @@ __all__ = [
     "UnknownModelError",
     "FaultPlan",
     "FaultInjector",
-    "LatencyReservoir",
     "MetricsRegistry",
     "Telemetry",
     "TelemetryConfig",

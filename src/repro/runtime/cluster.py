@@ -34,8 +34,8 @@ PatDNN-class runtimes replicate compiled models across execution units:
   clients only see :class:`ShardCrashedError` once the retry budget is
   exhausted.  Optional **hedging** duplicates a slow request onto a
   second shard with strict only-once result delivery.  Routing weighs
-  the workers' own p50/p95 latency reservoirs alongside outstanding
-  counts (:func:`~repro.runtime.resilience.route_score`), and a
+  the p50/p95 of the workers' own request-latency histograms alongside
+  outstanding counts (:func:`~repro.runtime.resilience.route_score`), and a
   per-shard **circuit breaker** (closed → open → half-open) takes a
   failing or stalled shard out of rotation until a probe succeeds.
   None of this code knows which transport is underneath.
@@ -130,7 +130,6 @@ from multiprocessing import get_context
 import numpy as np
 
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.metrics import LatencyReservoir
 from repro.runtime.resilience import (
     CircuitBreaker,
     CorruptedPayloadError,
@@ -144,6 +143,7 @@ from repro.runtime.resilience import (
 from repro.runtime.session import DEFAULT_MODEL, SessionSpec
 from repro.runtime.telemetry import (
     AdminServer,
+    Histogram,
     MetricsRegistry,
     Telemetry,
     TelemetryConfig,
@@ -446,9 +446,6 @@ class ShardedServer:
         self._closed = False
         self._req_ids = itertools.count()
         self._retired_endpoints: list[ShardEndpoint] = []
-        #: router-observed end-to-end latency (submit -> resolved), the
-        #: same bounded reservoir the workers use for their own p50/p95
-        self._latency = LatencyReservoir()
         # telemetry hub: metrics registry + trace store/sampler + event log
         self._telemetry = Telemetry(telemetry)
         self.events = self._telemetry.events
@@ -466,9 +463,11 @@ class ShardedServer:
                 ("corrupt", "payloads that failed checksum verification"),
             )
         }
-        # per-model router stats: request counters live in the hub
-        # registry as model-labelled cells (so /metrics exports them);
-        # each model also gets a router-side latency reservoir
+        # per-model router stats: request counters and submit-to-result
+        # latency histograms live in the hub registry as model-labelled
+        # cells (so /metrics exports them).  Entries outlive an unload,
+        # as their registry series do, so the router-wide percentiles
+        # cover every result the router ever delivered
         self._model_lock = threading.Lock()
         self._model_stats: dict[str, dict] = {}
         for name in self.specs:
@@ -571,13 +570,18 @@ class ShardedServer:
         with self._model_lock:
             entry = self._model_stats.get(name)
             if entry is None:
+                registry = self._telemetry.registry
                 entry = {
-                    "requests": self._telemetry.registry.counter(
+                    "requests": registry.counter(
                         "cluster_model_requests_total",
                         help="requests submitted per model",
                         model=name,
                     ),
-                    "latency": LatencyReservoir(),
+                    "latency": registry.histogram(
+                        "cluster_request_latency_ms",
+                        help="router-observed submit-to-result latency per model (ms)",
+                        model=name,
+                    ),
                 }
                 self._model_stats[name] = entry
             return entry
@@ -705,9 +709,9 @@ class ShardedServer:
                     continue  # late reply for a request already settled elsewhere
                 if read_err is None:
                     if inflight.resolve_result(out):
-                        latency_ms = (time.monotonic() - inflight.created_at) * 1e3
-                        self._latency.record(latency_ms)
-                        self._model_entry(inflight.model)["latency"].record(latency_ms)
+                        self._model_entry(inflight.model)["latency"].observe(
+                            (time.monotonic() - inflight.created_at) * 1e3
+                        )
                 else:
                     inflight.resolve_exception(read_err)
             elif kind == "err":
@@ -1303,8 +1307,6 @@ class ShardedServer:
             except (TransportClosedError, BrokenPipeError, OSError):
                 pass
         self._await_model_acks(sent, "unload", name, time.monotonic() + timeout)
-        with self._model_lock:
-            self._model_stats.pop(name, None)
         self._telemetry.events.emit(
             "model_unloaded", model=name, shards=len(sent), drained=drained
         )
@@ -1717,10 +1719,12 @@ class ShardedServer:
         serving-stats snapshot (``None`` until its first health pong).
         Global: sums, worker-side batch counters, the cluster-wide mean
         batch, the transport kind, the router's own end-to-end
-        ``router_p50_ms``/``router_p95_ms``/``router_p99_ms``, and the
-        resilience counters (``retries``, ``hedges``, ``shed``,
-        ``timed_out``, ``corrupt``) — the same registry cells ``/metrics``
-        exports, so the two views can never disagree.  ``generation``
+        ``router_p50_ms``/``router_p95_ms``/``router_p99_ms`` (bucket
+        estimates over the ``cluster_request_latency_ms`` histograms of
+        every model), and the resilience counters (``retries``,
+        ``hedges``, ``shed``, ``timed_out``, ``corrupt``) — the same
+        registry cells ``/metrics`` exports, so the two views can never
+        disagree.  ``generation``
         counts membership changes (add/remove/respawn): a consumer that
         cached shard identities refreshes when it moves.  ``models``
         breaks requests, router latency percentiles, and worker batch
@@ -1762,10 +1766,12 @@ class ShardedServer:
         injected = dict(self._injector.injected) if self._injector is not None else None
         with self._lock:
             model_names = sorted(self.specs)
+        with self._model_lock:
+            latency = Histogram.merged(e["latency"] for e in self._model_stats.values())
         models = {}
         for name in model_names:
             entry = self._model_entry(name)
-            reservoir = entry["latency"]
+            hist = entry["latency"]
             worker_batches = worker_samples = 0
             for shard_entry in shards:
                 serving = shard_entry["serving"] or {}
@@ -1775,9 +1781,9 @@ class ShardedServer:
                     worker_samples += per_model.get("samples", 0)
             models[name] = {
                 "requests": int(entry["requests"].value),
-                "router_p50_ms": reservoir.p50_ms,
-                "router_p95_ms": reservoir.p95_ms,
-                "router_p99_ms": reservoir.p99_ms,
+                "router_p50_ms": hist.quantile(0.50),
+                "router_p95_ms": hist.quantile(0.95),
+                "router_p99_ms": hist.quantile(0.99),
                 "worker_batches": worker_batches,
                 "worker_samples": worker_samples,
             }
@@ -1792,9 +1798,9 @@ class ShardedServer:
             "worker_batches": batches,
             "worker_samples": samples,
             "mean_batch": samples / batches if batches else 0.0,
-            "router_p50_ms": self._latency.p50_ms,
-            "router_p95_ms": self._latency.p95_ms,
-            "router_p99_ms": self._latency.p99_ms,
+            "router_p50_ms": latency.quantile(0.50),
+            "router_p95_ms": latency.quantile(0.95),
+            "router_p99_ms": latency.quantile(0.99),
             "injected_faults": injected,
         }
 

@@ -24,10 +24,11 @@ summing to at most 1):
 * ``slot_exhaust`` — a router-side slot acquisition is refused as if
   every transport slot were busy: overload without traffic.
 
-Hooks are no-ops by default: every injection point in
-:class:`~repro.runtime.cluster.ShardedServer`,
-:class:`~repro.runtime.serving.MicroBatchServer`, and
-:class:`~repro.runtime.shm_ring.ShmSlotRing` checks an optional
+Hooks are no-ops by default: every injection point — slot exhaustion
+at the router's slot acquisition in
+:class:`~repro.runtime.cluster.ShardedServer`, the worker loop
+(:func:`~repro.runtime.worker.run_worker`), and
+:class:`~repro.runtime.serving.MicroBatchServer` — checks an optional
 injector that is ``None`` in production.
 
 Usage::

@@ -34,9 +34,10 @@ router holds one breaker per shard and consults it before dispatch, so
 a stalled or flapping worker stops receiving traffic *before* piling up
 more doomed requests.
 
-:func:`route_score` folds the p50/p95 latency reservoirs already
-collected by :class:`~repro.runtime.serving.ServingStats` into the
-routing decision: the score estimates the completion time of a request
+:func:`route_score` folds the p50/p95 latencies that each worker's
+:class:`~repro.runtime.serving.ServingStats` estimates from its
+request-latency histogram into the routing decision: the score
+estimates the completion time of a request
 joining a shard's queue, so a slow-but-idle shard and a fast-but-busy
 shard compete on equal terms (plain least-outstanding routing treats a
 stalling shard as *attractive* — its queue never drains, as the PR 3

@@ -74,13 +74,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.runtime.faults import FaultInjector, FaultPlan
-from repro.runtime.metrics import DEFAULT_RESERVOIR, LatencyReservoir
 from repro.runtime.resilience import (
     DeadlineExceededError,
     InjectedFaultError,
     QueueFullError,
 )
-from repro.runtime.telemetry import DEFAULT_BUCKETS_MS, MetricsRegistry, profile_layers
+from repro.runtime.telemetry import Histogram, MetricsRegistry, profile_layers
 
 __all__ = ["ServingConfig", "ServingStats", "MicroBatchServer"]
 
@@ -114,9 +113,17 @@ class ServingConfig:
             raise ValueError(f"queue_depth must be >= 1, got {self.queue_depth}")
 
 
-#: latency reservoir size (re-exported from :mod:`repro.runtime.metrics`,
-#: where the shared sliding-window implementation now lives)
-_LATENCY_RESERVOIR = DEFAULT_RESERVOIR
+def latency_summary(hist: Histogram) -> dict:
+    """The latency keys of a serving snapshot: bucket-estimated
+    ``p50_ms``/``p95_ms``/``p99_ms`` and the exact ``mean_ms``
+    (``sum / count``) of one request-latency histogram."""
+    count = hist.count
+    return {
+        "p50_ms": hist.quantile(0.50),
+        "p95_ms": hist.quantile(0.95),
+        "p99_ms": hist.quantile(0.99),
+        "mean_ms": hist.sum / count if count else 0.0,
+    }
 
 
 class ServingStats:
@@ -166,22 +173,14 @@ class ServingStats:
             "serving_timed_out_total", "requests shed after their deadline expired", **lbl)
         self._max_batch_seen = reg.gauge(
             "serving_max_batch_seen", "largest micro-batch dispatched so far", **lbl)
-        self._latency_hist = reg.histogram(
+        # the one store of per-request latency (queue wait + dispatch +
+        # kernel time, submit to resolution): p50/p95/p99 read from it
+        self._latency = reg.histogram(
             "serving_request_latency_ms", "submit-to-resolution request latency (ms)",
             **lbl)
-        # always-on (not 1%-sampled like the queue_wait trace span), with
-        # sub-0.5 ms buckets: an idle dispatcher hands a request to the
-        # runner in tens of microseconds, and that is what must be visible
+        # always-on, not 1%-sampled like the queue_wait trace span
         self._queue_wait_hist = reg.histogram(
-            "serving_queue_wait_ms", "submit-to-runner-entry queue wait (ms)",
-            buckets=(0.05, 0.1, 0.25) + DEFAULT_BUCKETS_MS, **lbl)
-        # Sliding-window reservoir of per-request latencies (queue wait +
-        # dispatch + kernel time, submit to resolution) — the shared
-        # implementation from repro.runtime.metrics, also used by the
-        # router's per-shard attempt tracking in repro.runtime.cluster.
-        # Kept alongside the histogram: percentiles over a *window*
-        # describe recent traffic; cumulative buckets describe lifetime.
-        self._latency = LatencyReservoir()
+            "serving_queue_wait_ms", "submit-to-runner-entry queue wait (ms)", **lbl)
 
     # -- legacy attribute views (read any time) ------------------------
     @property
@@ -242,39 +241,25 @@ class ServingStats:
             if n_samples > self._max_batch_seen.value:
                 self._max_batch_seen.set(n_samples)
             for ms in latencies_ms:
-                self._latency.record(ms)
-                self._latency_hist.observe(ms)
+                self._latency.observe(ms)
             for ms in queue_waits_ms:
                 self._queue_wait_hist.observe(ms)
 
-    # -- latency views -------------------------------------------------
-    @property
-    def _latency_ring(self) -> np.ndarray:
-        """The reservoir's backing ring (tests / introspection)."""
-        return self._latency._ring
-
-    def _record_latency(self, latency_ms: float) -> None:
-        """Append one request latency (reservoir has its own lock)."""
-        self._latency.record(latency_ms)
-        self._latency_hist.observe(latency_ms)
-
-    def _latency_percentile(self, q: float) -> float:
-        return self._latency.percentile(q)
-
+    # -- latency views (bucket estimates over the stats' lifetime) -----
     @property
     def p50_ms(self) -> float:
-        """Median request latency over the sliding window (0.0 = none)."""
-        return self._latency.p50_ms
+        """Median request latency (0.0 = no requests yet)."""
+        return self._latency.quantile(0.50)
 
     @property
     def p95_ms(self) -> float:
-        """95th-percentile request latency over the sliding window."""
-        return self._latency.p95_ms
+        """95th-percentile request latency."""
+        return self._latency.quantile(0.95)
 
     @property
     def p99_ms(self) -> float:
-        """99th-percentile request latency over the sliding window."""
-        return self._latency.p99_ms
+        """99th-percentile request latency."""
+        return self._latency.quantile(0.99)
 
     def snapshot(self) -> dict:
         """Picklable point-in-time copy (for cross-process reporting).
@@ -295,13 +280,11 @@ class ServingStats:
                 "shed": int(self._shed.value),
                 "timed_out": int(self._timed_out.value),
                 "metrics": self.registry.snapshot(),
+                **latency_summary(self._latency),
             }
         counters["mean_batch"] = (
             counters["samples"] / counters["batches"] if counters["batches"] else 0.0
         )
-        lat = self._latency.snapshot()
-        for key in ("p50_ms", "p95_ms", "p99_ms", "mean_ms", "max_ms"):
-            counters[key] = lat[key]
         return counters
 
     def __repr__(self) -> str:

@@ -8,19 +8,20 @@ carved into ``slots`` fixed-size slots, array bytes are copied straight
 into a slot on one side and straight out on the other, and only a tiny
 control tuple (request id, slot index, shape, dtype) crosses the pipe.
 
-Slot lifecycle is deliberately single-owner: the *creating* side (the
-router) acquires and releases slots; the attached side (a worker) only
-reads and writes slot contents.  A request's slot does double duty — the
-router writes the input into it, the worker overwrites it with the
-output, and the router frees it after copying the result out — so no
-free-list coordination ever crosses the process boundary, and the slot
-count is a natural bound on per-worker outstanding requests
-(backpressure, exactly like ``ServingConfig.queue_depth`` in-process).
+The ring is a payload segment only; which slots are free is decided by
+the router alone, through the shard endpoint's
+:class:`~repro.runtime.transport.CreditGate` whose tokens are slot
+indices.  A request's slot does double duty — the router writes the
+input into it, the worker overwrites it with the output, and the router
+frees it after copying the result out — so no free-list coordination
+ever crosses the process boundary, and the slot count is a natural bound
+on per-worker outstanding requests (backpressure, exactly like
+``ServingConfig.queue_depth`` in-process).
 
-The ring is transport only: it never interprets the bytes.  Shape and
-dtype travel in the control message (:meth:`write` returns the header to
-send), so heterogeneous shapes and dtypes share one ring as long as each
-payload fits ``slot_bytes``.
+The ring never interprets the bytes.  Shape and dtype travel in the
+control message (:meth:`write` returns the header to send), so
+heterogeneous shapes and dtypes share one ring as long as each payload
+fits ``slot_bytes``.
 
 Payloads are **checksummed**: :meth:`write` returns a CRC32 of the bytes
 it copied in, the checksum travels in the control message next to shape
@@ -34,9 +35,7 @@ corruption degrades into latency, not wrong answers.
 
 from __future__ import annotations
 
-import threading
 import zlib
-from collections.abc import Callable
 from multiprocessing import shared_memory
 
 import numpy as np
@@ -51,9 +50,9 @@ _ALIGN = 64  # slot alignment: keeps every slot cache-line aligned
 class ShmSlotRing:
     """``slots`` fixed-size byte slots in one shared-memory segment.
 
-    Construct through :meth:`create` (owner side: allocates the segment
-    and manages the free list) or :meth:`attach` (worker side: maps an
-    existing segment by name; read/write only).
+    Construct through :meth:`create` (owner side: allocates the segment,
+    and unlinks it on context exit) or :meth:`attach` (worker side: maps
+    an existing segment by name).  Both sides read and write slots.
     """
 
     def __init__(self, shm: shared_memory.SharedMemory, slots: int, slot_bytes: int, owner: bool) -> None:
@@ -61,17 +60,6 @@ class ShmSlotRing:
         self.slots = slots
         self.slot_bytes = slot_bytes
         self._owner = owner
-        self._closed = False
-        #: optional fault-injection hook (:mod:`repro.runtime.faults`):
-        #: when set and it returns True, :meth:`acquire` reports the ring
-        #: as full for that call.  ``None`` (the default) is a no-op.
-        self.fault_hook: Callable[[], bool] | None = None
-        if owner:
-            # LIFO free list: the most recently released slot is hottest
-            # in cache.  Condition guards the list and wakes blocked
-            # acquirers on release.
-            self._free = list(reversed(range(slots)))
-            self._available = threading.Condition(threading.Lock())
 
     # ------------------------------------------------------------------
     @classmethod
@@ -106,40 +94,6 @@ class ShmSlotRing:
     def name(self) -> str:
         """OS name of the segment (pass to :meth:`attach` in the worker)."""
         return self._shm.name
-
-    # ------------------------------------------------------------------
-    # Slot lifecycle (owner side only)
-    # ------------------------------------------------------------------
-    def acquire(self, timeout: float | None = None) -> int | None:
-        """Take a free slot index; ``None`` on timeout (all slots busy)."""
-        if not self._owner:
-            raise RuntimeError("only the creating side manages slot lifecycle")
-        if self.fault_hook is not None and self.fault_hook():
-            return None  # injected slot exhaustion: behave as if full
-        with self._available:
-            if not self._available.wait_for(lambda: bool(self._free) or self._closed, timeout):
-                return None
-            if self._closed:
-                raise RuntimeError("ring is closed")
-            return self._free.pop()
-
-    def release(self, slot: int) -> None:
-        """Return a slot to the free list (wakes one blocked acquirer)."""
-        if not self._owner:
-            raise RuntimeError("only the creating side manages slot lifecycle")
-        if not 0 <= slot < self.slots:
-            raise ValueError(f"slot {slot} out of range 0..{self.slots - 1}")
-        with self._available:
-            if slot in self._free:
-                raise ValueError(f"slot {slot} is already free (double release)")
-            self._free.append(slot)
-            self._available.notify()
-
-    @property
-    def free_slots(self) -> int:
-        """Number of currently free slots (owner side)."""
-        with self._available:
-            return len(self._free)
 
     # ------------------------------------------------------------------
     # Payload transfer (both sides)
@@ -204,13 +158,9 @@ class ShmSlotRing:
 
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Unmap the segment (both sides; idempotent)."""
-        if self._closed:
-            return
-        self._closed = True
-        if self._owner:
-            with self._available:
-                self._available.notify_all()
+        """Unmap the segment (both sides; idempotent).  Raises
+        ``BufferError`` while another thread still holds a view into it;
+        calling again later retries."""
         self._shm.close()
 
     def unlink(self) -> None:

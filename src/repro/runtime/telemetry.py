@@ -1,14 +1,10 @@
 """End-to-end telemetry: metrics registry, request tracing, event log,
 and an HTTP exposition endpoint.
 
-Until this module, the serving stack's only window into its own behavior
-was a hand-rolled stats dict (:class:`~repro.runtime.serving.ServingStats`)
-and two p50/p95 reservoirs — enough to print a footer, useless for
-answering "where did *this* request spend its time" or for scraping the
-server from outside.  PatDNN's own tuning loop (§5.5) runs on *measured*
-per-layer execution latencies, which is exactly the signal the ROADMAP's
-online auto-tuning and autoscaling items need; this module is that
-measurement substrate.  Four pieces:
+PatDNN's own tuning loop (§5.5) runs on *measured* per-layer execution
+latencies, which is exactly the signal online auto-tuning and
+autoscaling need; this module is the serving stack's measurement
+substrate, and the one place it measures latency.  Four pieces:
 
 * :class:`MetricsRegistry` — a thread-safe namespace of named
   **counters**, **gauges**, and **histograms** with picklable
@@ -16,7 +12,10 @@ measurement substrate.  Four pieces:
   and the router's resilience counters are registry-backed, so a
   worker's snapshot (shipped in health pongs) and the router's own
   metrics merge under one namespace and render together as Prometheus
-  text (:func:`render_prometheus`).
+  text (:func:`render_prometheus`).  Histograms are the only latency
+  store: every p50/p95/p99 the stack reports (worker serving stats,
+  routing scores, ``cluster_stats``) is a :meth:`Histogram.quantile`
+  bucket estimate over the histogram's lifetime.
 * **Request tracing** — :class:`Tracer` mints a trace id at ``submit()``
   (sampled at a configurable rate so the hot path stays cheap); the id
   travels through the framed codec on both the shm and TCP transports,
@@ -83,8 +82,12 @@ __all__ = [
 #: always has recent timelines to show
 DEFAULT_TRACE_SAMPLE_RATE = 0.01
 
-#: default latency-histogram bucket upper bounds (milliseconds)
-DEFAULT_BUCKETS_MS = (0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0)
+#: default latency-histogram bucket upper bounds (milliseconds); the
+#: sub-0.5 ms buckets resolve an idle dispatcher's tens-of-microseconds
+#: queue wait and a sub-millisecond cluster round trip
+DEFAULT_BUCKETS_MS = (
+    0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 50.0, 100.0, 250.0, 500.0, 1000.0,
+)
 
 
 # ----------------------------------------------------------------------
@@ -183,6 +186,49 @@ class Histogram:
                 out.append((bound, running))
             out.append((float("inf"), running + self._counts[-1]))
             return out
+
+    def quantile(self, q: float) -> float:
+        """Estimated ``q``-quantile (``0 <= q <= 1``), with Prometheus
+        ``histogram_quantile`` semantics: linear interpolation inside
+        the bucket that holds rank ``q * count`` (the first bucket
+        starts at 0), the largest finite bound when that rank falls in
+        the ``+Inf`` bucket, and 0.0 for an empty histogram."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile must be in [0, 1], got {q}")
+        with self._lock:
+            counts, total = list(self._counts), self._count
+        if total == 0:
+            return 0.0
+        rank = q * total
+        below = 0  # observations in the buckets before bucket i
+        for i, n in enumerate(counts):
+            # empty buckets never hold a rank: rank 0 lands in the first
+            # occupied bucket, not at the floor of an empty one
+            if n and below + n >= rank:
+                break
+            below += n
+        if i == len(self.buckets):
+            return self.buckets[-1]
+        lower = self.buckets[i - 1] if i else 0.0
+        upper = self.buckets[i]
+        # min(): rounding must not push an estimate past its bucket, or
+        # the next bucket's estimates would break monotonicity in q
+        return min(upper, lower + (upper - lower) * ((rank - below) / n))
+
+    @classmethod
+    def merged(cls, histograms) -> "Histogram":
+        """A new, unregistered histogram holding the summed bucket
+        counts, sums and counts of ``histograms`` (which must share
+        their buckets; an empty input gives an empty default one)."""
+        histograms = list(histograms)
+        buckets = histograms[0].buckets if histograms else DEFAULT_BUCKETS_MS
+        out = cls(threading.Lock(), buckets)
+        for hist in histograms:
+            with hist._lock:
+                out._counts = [a + b for a, b in zip(out._counts, hist._counts)]
+                out._sum += hist._sum
+                out._count += hist._count
+        return out
 
 
 _KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}

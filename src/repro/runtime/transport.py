@@ -62,9 +62,12 @@ multi-tenant worker (see :mod:`repro.runtime.worker`).
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import os
 import pickle
 import struct
+import tempfile
 import threading
 import zlib
 from abc import ABC, abstractmethod
@@ -93,6 +96,7 @@ __all__ = [
     "tensor_frame_meta",
     "pack_bundle_payload",
     "verify_bundle_payload",
+    "materialize_bundle",
 ]
 
 
@@ -328,18 +332,37 @@ def verify_bundle_payload(name: str, payload: tuple) -> bytes:
     return data
 
 
+def materialize_bundle(name: str, spec, payload: tuple):
+    """Verify a shipped bundle (:func:`verify_bundle_payload`) and write
+    it to a local ``repro-bundle-<name>-*.npz`` temp file; returns
+    ``spec`` repointed at that file.  The caller owns the file and
+    deletes ``spec.bundle_path`` once the model is gone."""
+    data = verify_bundle_payload(name, payload)
+    fd, path = tempfile.mkstemp(prefix=f"repro-bundle-{name}-", suffix=".npz")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+    except BaseException:
+        os.unlink(path)
+        raise
+    return dataclasses.replace(spec, bundle_path=path)
+
+
 # ----------------------------------------------------------------------
-# Backpressure for transports without natural slots
+# Backpressure: the per-shard slot free list
 # ----------------------------------------------------------------------
 class CreditGate:
-    """Counted admission tokens mirroring ``ShmSlotRing``'s slot
-    semantics for transports (like TCP) that have no physical slots:
-    ``credits`` concurrent requests per shard, :meth:`acquire` blocks or
-    times out when all are out, :meth:`release` returns one.
+    """The router-side free list of one shard's transport slots, for
+    every transport: ``credits`` concurrent requests per shard,
+    :meth:`acquire` blocks or times out when all are out, :meth:`release`
+    returns one.
 
-    The LIFO free list, double-release check, closed-ring error, and
-    timeout behaviour intentionally match the shm ring so the router's
-    dispatch loop cannot tell the two apart.
+    Tokens are ``0 .. credits - 1``.  The shm endpoint uses them as the
+    slot indices of its ring; TCP has no physical slots, so its tokens
+    only count.  The free list is LIFO (the most recently released slot
+    is hottest in cache); releasing a token twice or one out of range
+    raises ``ValueError``, and :meth:`close` wakes every blocked
+    acquirer with ``RuntimeError``.
     """
 
     def __init__(self, credits: int) -> None:

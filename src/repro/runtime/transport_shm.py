@@ -35,6 +35,7 @@ from repro.runtime.resilience import CorruptedPayloadError
 from repro.runtime.session import SessionSpec
 from repro.runtime.shm_ring import ShmSlotRing
 from repro.runtime.transport import (
+    CreditGate,
     ShardEndpoint,
     ShardLauncher,
     TransportClosedError,
@@ -159,27 +160,29 @@ def _shm_worker_main(
 # Router side
 # ----------------------------------------------------------------------
 class ShmShardEndpoint(ShardEndpoint):
-    """Router half: owns the slot lifecycle (acquire/release) and the
-    worker process handle; normalizes pipe tuples into protocol events."""
+    """Router half: owns the slot lifecycle (a :class:`CreditGate` whose
+    tokens are the ring's slot indices) and the worker process handle;
+    normalizes pipe tuples into protocol events."""
 
     def __init__(self, process, conn, ring: ShmSlotRing) -> None:
         self.process = process
         self._conn = conn
         self._ring = ring
+        self._gate = CreditGate(ring.slots)
         self._send_lock = threading.Lock()
 
     # -- backpressure ---------------------------------------------------
     def acquire(self, timeout: float | None = None) -> int | None:
         try:
-            return self._ring.acquire(timeout=timeout)
-        except RuntimeError as exc:  # ring closed: shard died while we waited
+            return self._gate.acquire(timeout=timeout)
+        except RuntimeError as exc:  # gate closed: shard died while we waited
             raise TransportClosedError(str(exc)) from exc
 
     def release(self, token: int) -> None:
         try:
-            self._ring.release(token)
-        except (RuntimeError, ValueError):
-            pass  # ring already torn down with the shard
+            self._gate.release(token)
+        except ValueError:
+            pass  # already back (endpoint torn down under us)
 
     # -- sending --------------------------------------------------------
     def send_request(
@@ -254,6 +257,7 @@ class ShmShardEndpoint(ShardEndpoint):
         live view — a real window when a shard dies under concurrent
         submits — so the final close is retried by :meth:`dispose` at
         server shutdown."""
+        self._gate.close()  # wake any dispatcher blocked on acquire
         try:
             self._conn.close()
         except OSError:

@@ -24,8 +24,8 @@ location irrelevant by speaking that protocol over a socket:
 * **Deadlines re-anchored** — absolute ``time.monotonic`` values are
   meaningless across hosts, so deadlines travel as *remaining seconds*
   and are converted back to the worker's own clock on arrival.
-* **Backpressure** — a :class:`~repro.runtime.transport.CreditGate`
-  mirrors the shm ring's slot semantics: ``slots_per_shard`` requests
+* **Backpressure** — the same :class:`~repro.runtime.transport.CreditGate`
+  that hands out the shm endpoint's slots: ``slots_per_shard`` requests
   may be outstanding per shard; credits release as replies arrive.
 * **Liveness** — a local worker is watched through its process handle; a
   remote one through the connection itself: EOF/RST surfaces
@@ -53,10 +53,8 @@ multiprocessing pipes always did), so this transport trusts its network
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import socket
-import tempfile
 import threading
 import time
 
@@ -74,6 +72,7 @@ from repro.runtime.transport import (
     ShardLauncher,
     TransportClosedError,
     WorkerTransport,
+    materialize_bundle,
     pack_bundle_payload,
     pack_control_frame,
     pack_tensor_frame,
@@ -81,7 +80,6 @@ from repro.runtime.transport import (
     tensor_frame_req_id,
     unpack_control_body,
     unpack_tensor_frame,
-    verify_bundle_payload,
 )
 from repro.runtime.transport_shm import spawn_with_env
 
@@ -277,14 +275,8 @@ def _serve_connection(conn: socket.socket) -> None:
                 # shipped bundle (size + CRC — a truncated multi-bundle
                 # handshake must fail typed, not half-load the zoo) and
                 # materialize it locally
-                data = verify_bundle_payload(name, payload)
-                fd, path = tempfile.mkstemp(
-                    prefix=f"repro-bundle-{name}-", suffix=".npz"
-                )
-                bundle_paths.append(path)
-                with os.fdopen(fd, "wb") as fh:
-                    fh.write(data)
-                specs[name] = dataclasses.replace(specs[name], bundle_path=path)
+                specs[name] = materialize_bundle(name, specs[name], payload)
+                bundle_paths.append(specs[name].bundle_path)
         except CorruptedPayloadError as exc:
             try:
                 transport.send_fatal(str(exc))

@@ -28,6 +28,7 @@ messages, acknowledged with ``("model", op, name, detail)``.
 
 from __future__ import annotations
 
+import contextlib
 import os
 import threading
 import time
@@ -41,9 +42,13 @@ from repro.runtime.resilience import (
     DeadlineExceededError,
     QueueFullError,
 )
-from repro.runtime.serving import MicroBatchServer, ServingStats
-from repro.runtime.telemetry import MetricsRegistry, SpanCollector
-from repro.runtime.transport import TransportClosedError, WorkerTransport
+from repro.runtime.serving import MicroBatchServer, ServingStats, latency_summary
+from repro.runtime.telemetry import Histogram, MetricsRegistry, SpanCollector
+from repro.runtime.transport import (
+    TransportClosedError,
+    WorkerTransport,
+    materialize_bundle,
+)
 
 __all__ = ["ModelHost", "run_worker"]
 
@@ -78,18 +83,12 @@ class ModelHost:
         self._models: dict[str, tuple] = {}
         try:
             for name in sorted(specs):
-                self._load_locked(name, specs[name])
+                self.load(name, specs[name])
         except BaseException:
             self.close()
             raise
 
     # ------------------------------------------------------------------
-    def _load_locked(self, name: str, spec) -> None:
-        session = spec.build(kernel_cache=self.kernel_cache, arena=self.arena)
-        stats = ServingStats(self.registry, labels={"model": name})
-        server = MicroBatchServer(session.executor.run, spec.serving_config, stats=stats)
-        self._models[name] = (session, server, stats)
-
     def load(self, name: str, spec) -> None:
         """Build and admit one model (hot path; raises on any failure —
         a duplicate name, a broken bundle — without touching the rest)."""
@@ -104,6 +103,7 @@ class ModelHost:
         with self._lock:
             if name in self._models:  # raced a concurrent load of the same name
                 server.close()
+                session.close()
                 raise ValueError(f"model {name!r} is already loaded")
             self._models[name] = (session, server, stats)
 
@@ -154,12 +154,14 @@ class ModelHost:
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
-        """Merged serving stats: aggregate counters/percentiles across
-        models (the shape the router's health loop always consumed) plus
-        a per-model breakdown under ``"models"``.  The ``"metrics"`` key
-        is the shared registry snapshot, whose serving_* series carry
-        ``model`` labels; the worker_* gauges report what the shared
-        arena and kernel cache hold at snapshot time."""
+        """Merged serving stats: aggregate counters across models, and
+        percentiles of the request-latency histogram summed bucket by
+        bucket over models (the shape the router's health loop always
+        consumed), plus a per-model breakdown under ``"models"``.  The
+        ``"metrics"`` key is the shared registry snapshot, whose
+        serving_* series carry ``model`` labels; the worker_* gauges
+        report what the shared arena and kernel cache hold at snapshot
+        time."""
         gauge = self.registry.gauge
         gauge("worker_arena_footprint_bytes", "bytes held by the shared buffer arena").set(
             self.arena.footprint_bytes)
@@ -176,7 +178,6 @@ class ModelHost:
             "requests", "samples", "batches", "max_batch_seen",
             "errors", "shed", "timed_out",
         )}
-        windows = []
         for name, (_, _, stats) in sorted(entries.items()):
             snap = stats.snapshot()
             snap.pop("metrics", None)  # the shared registry is shipped once, below
@@ -186,22 +187,16 @@ class ModelHost:
                     max(totals[key], snap[key]) if key == "max_batch_seen"
                     else totals[key] + snap[key]
                 )
-            windows.append(stats._latency.window())
-        merged = {**totals, "metrics": self.registry.snapshot(), "models": per_model}
+        latency = Histogram.merged(stats._latency for _, _, stats in entries.values())
+        merged = {
+            **totals,
+            **latency_summary(latency),
+            "metrics": self.registry.snapshot(),
+            "models": per_model,
+        }
         merged["mean_batch"] = (
             merged["samples"] / merged["batches"] if merged["batches"] else 0.0
         )
-        window = np.concatenate(windows) if windows else np.empty(0)
-        if window.size:
-            merged.update(
-                p50_ms=float(np.percentile(window, 50.0)),
-                p95_ms=float(np.percentile(window, 95.0)),
-                p99_ms=float(np.percentile(window, 99.0)),
-                mean_ms=float(window.mean()),
-                max_ms=float(window.max()),
-            )
-        else:
-            merged.update(p50_ms=0.0, p95_ms=0.0, p99_ms=0.0, mean_ms=0.0, max_ms=0.0)
         return merged
 
     def drain(self) -> None:
@@ -222,6 +217,13 @@ class ModelHost:
             session.close()
 
 
+def _discard(path: str | None) -> None:
+    """Delete a materialized bundle file (gone already is fine)."""
+    if path is not None:
+        with contextlib.suppress(OSError):
+            os.unlink(path)
+
+
 def run_worker(
     specs,
     transport: WorkerTransport,
@@ -229,10 +231,8 @@ def run_worker(
 ) -> None:
     """Serve one shard until ``stop`` or the router disappears.
 
-    ``specs`` is ``{name: SessionSpec}`` (every entry is built into the
-    shared :class:`ModelHost`), or — back-compat for direct callers — a
-    zero-arg callable producing a single session-spec'd build, wrapped
-    under the default model name.  A build failure is reported as a
+    ``specs`` is ``{name: SessionSpec}``; every entry is built into the
+    shared :class:`ModelHost`.  A build failure is reported as a
     ``fatal`` message so the router marks the shard permanently failed
     instead of respawn-looping.  Each ``req`` payload is copied
     (checksum-verified) off the transport, submitted to its model's
@@ -240,7 +240,9 @@ def run_worker(
     future resolves; requests naming a model this worker does not host
     fail typed (``unknown_model``).  ``("load", ...)`` / ``("unload",
     ...)`` control messages hot-mutate the model registry and are
-    acknowledged.  A :class:`FaultPlan` (chaos tests only)
+    acknowledged; a hot load's shipped bundle bytes are written to a
+    temp file that is deleted when the model unloads or this function
+    returns.  A :class:`FaultPlan` (chaos tests only)
     deterministically injects crashes, stalls, slowness, and response
     corruption keyed by request id.
     """
@@ -254,10 +256,7 @@ def run_worker(
             pass
 
     try:
-        if callable(specs) and not isinstance(specs, dict):
-            host = _CallableHost(specs)
-        else:
-            host = ModelHost(specs)
+        host = ModelHost(specs)
     except BaseException as exc:  # surface build failures instead of respawn-looping
         _safe(transport.send_fatal, f"{type(exc).__name__}: {exc}")
         transport.close()
@@ -265,6 +264,8 @@ def run_worker(
 
     injector = FaultInjector(fault_plan) if fault_plan is not None else None
     capacity = transport.payload_capacity
+    # model name -> temp file its hot load's shipped bundle was written to
+    shipped: dict[str, str] = {}
 
     def _ship_trace(req_id: int, collector: SpanCollector | None) -> None:
         # after the reply, same ordered channel: the router resolves the
@@ -314,14 +315,19 @@ def run_worker(
                 _safe(transport.send_pong, msg[1], host.snapshot())
             elif kind == "load":
                 _, name, spec, payload = msg
+                path = None
                 try:
                     if payload is not None:
-                        spec = _materialize_bundle(name, spec, payload)
+                        spec = materialize_bundle(name, spec, payload)
+                        path = spec.bundle_path
                     host.load(name, spec)
                 except BaseException as exc:
+                    _discard(path)
                     _safe(transport.send_model_ack, "load", name,
                           f"{type(exc).__name__}: {exc}")
                 else:
+                    if path is not None:
+                        shipped[name] = path
                     _safe(transport.send_model_ack, "load", name, None)
             elif kind == "unload":
                 _, name = msg
@@ -331,6 +337,7 @@ def run_worker(
                     _safe(transport.send_model_ack, "unload", name,
                           f"{type(exc).__name__}: {exc}")
                 else:
+                    _discard(shipped.pop(name, None))
                     _safe(transport.send_model_ack, "unload", name, None)
             elif kind == "req":
                 _, req_id, deadline_at, trace_id, model, handle = msg
@@ -379,51 +386,7 @@ def run_worker(
         host.drain()  # graceful: in-flight futures resolve, replies go out
         stats = host.snapshot()  # AFTER the drain so every sample is counted
         host.close()
+        for path in shipped.values():
+            _discard(path)
         _safe(transport.send_bye, stats)
         transport.close()
-
-
-def _materialize_bundle(name: str, spec, payload) -> "object":
-    """Verify a hot-load's shipped bundle bytes and write them to a local
-    temp file, returning the spec repointed at it (mirrors the TCP
-    handshake's bundle materialization; see
-    :func:`~repro.runtime.transport.verify_bundle_payload`)."""
-    import dataclasses
-    import tempfile
-
-    from repro.runtime.transport import verify_bundle_payload
-
-    data = verify_bundle_payload(name, payload)
-    fd, path = tempfile.mkstemp(prefix=f"repro-bundle-{name}-", suffix=".npz")
-    with os.fdopen(fd, "wb") as fh:
-        fh.write(data)
-    return dataclasses.replace(spec, bundle_path=path)
-
-
-class _CallableHost:
-    """Adapter keeping ``run_worker(spec.build, transport)`` working for
-    direct (single-model, pre-registry) callers: one anonymous session,
-    every request resolves to it."""
-
-    def __init__(self, build) -> None:
-        self._session = build()
-
-    def names(self) -> list[str]:
-        return []
-
-    def load(self, name: str, spec) -> None:
-        raise ValueError("this worker was started with a bare session builder; "
-                         "hot model load needs a spec registry")
-
-    def unload(self, name: str) -> None:
-        raise KeyError(f"model {name!r} is not loaded")
-
-    def submit(self, x, *, model: str = "", deadline_at=None, trace=None) -> Future:
-        return self._session.submit(x, deadline_at=deadline_at, trace=trace)
-
-    def snapshot(self) -> dict | None:
-        stats = self._session.serving_stats
-        return stats.snapshot() if stats is not None else None
-
-    def close(self) -> None:
-        self._session.close()

@@ -271,6 +271,43 @@ class TestHotLoadUnload:
             assert "beta" not in server.cluster_stats["models"]
             assert "model_unloaded" in server.events.kinds()
 
+    def test_remote_worker_deletes_shipped_bundles(self, specs, tmp_path):
+        """A remote worker writes each shipped bundle (handshake and hot
+        load) to a temp file; the file goes when its model unloads or
+        its connection ends, so a long-lived worker accumulates none."""
+        import multiprocessing
+
+        from repro.runtime.transport_shm import spawn_with_env
+        from repro.runtime.transport_tcp import _tcp_worker_main
+
+        def bundle_models():
+            return sorted(p.name.split("-")[2] for p in tmp_path.glob("repro-bundle-*"))
+
+        ctx = multiprocessing.get_context("spawn")
+        port_conn, child_conn = ctx.Pipe(duplex=False)
+        worker = ctx.Process(target=_tcp_worker_main, args=(child_conn,), daemon=True)
+        spawn_with_env(worker, {"TMPDIR": str(tmp_path)})
+        child_conn.close()
+        try:
+            assert port_conn.poll(60), "remote worker never reported its port"
+            address = f"127.0.0.1:{port_conn.recv()}"
+            with ShardedServer(specs={"alpha": specs["alpha"]}, shards=[address],
+                               health_interval_s=0.2) as server:
+                server.submit(_rand(1), model="alpha").result(timeout=60)
+                assert bundle_models() == ["alpha"]  # from the handshake
+                server.load_model("beta", specs["beta"], timeout=60.0)
+                assert bundle_models() == ["alpha", "beta"]
+                server.unload_model("beta", timeout=60.0)
+                assert bundle_models() == ["alpha"]
+            worker.join(timeout=30)
+            assert not worker.is_alive()
+            assert bundle_models() == []
+        finally:
+            if worker.is_alive():
+                worker.terminate()
+                worker.join(timeout=10)
+            port_conn.close()
+
     def test_unload_last_model_refused(self, specs):
         with ShardedServer(specs={"alpha": specs["alpha"]}, num_shards=1,
                            health_interval_s=0.2) as server:

@@ -459,19 +459,6 @@ class TestLatencyTracking:
             assert server.stats.p50_ms == 0.0
             assert server.stats.p95_ms == 0.0
 
-    def test_reservoir_bounded_sliding_window(self):
-        """The reservoir is a fixed ring: old latencies age out and memory
-        never grows with request count."""
-        from repro.runtime.serving import _LATENCY_RESERVOIR, ServingStats
-
-        stats = ServingStats()
-        for _ in range(_LATENCY_RESERVOIR):
-            stats._record_latency(1000.0)
-        for _ in range(_LATENCY_RESERVOIR):
-            stats._record_latency(1.0)  # overwrites the whole window
-        assert stats._latency_ring.shape == (_LATENCY_RESERVOIR,)
-        assert stats.p95_ms == 1.0
-
     def test_snapshot_is_picklable_and_complete(self):
         import pickle
 

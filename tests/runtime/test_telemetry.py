@@ -34,13 +34,17 @@ import urllib.request
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.runtime.cluster import ShardedServer, projected_smallcnn_spec
 from repro.runtime.faults import FaultPlan
 from repro.runtime.resilience import ResilienceConfig
 from repro.runtime.serving import MicroBatchServer, ServingStats
 from repro.runtime.telemetry import (
+    DEFAULT_BUCKETS_MS,
     EventLog,
+    Histogram,
     MetricsRegistry,
     SpanCollector,
     Telemetry,
@@ -151,15 +155,92 @@ class TestMetricsRegistry:
     def test_concurrent_increments_all_counted(self):
         reg = MetricsRegistry()
         c = reg.counter("n_total")
-        threads = [
-            threading.Thread(target=lambda: [c.inc() for _ in range(500)])
-            for _ in range(8)
-        ]
+        h = reg.histogram("n_ms")
+
+        def hammer():
+            for i in range(500):
+                c.inc()
+                h.observe(float(i))
+
+        threads = [threading.Thread(target=hammer) for _ in range(8)]
         for t in threads:
             t.start()
         for t in threads:
             t.join()
         assert c.value == 4000
+        assert h.count == 4000 and h.cumulative()[-1][1] == 4000
+
+
+def _bucket_bounds(value, buckets):
+    """``(lower, upper)`` of the bucket ``Histogram.observe`` files
+    ``value`` under (``upper`` is inf for the +Inf bucket)."""
+    for i, bound in enumerate(buckets):
+        if value <= bound:
+            return (buckets[i - 1] if i else 0.0), bound
+    return buckets[-1], float("inf")
+
+
+class TestHistogramQuantile:
+    """``Histogram.quantile`` is the stack's only percentile: Prometheus
+    ``histogram_quantile`` semantics over the bucket counts."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        samples=st.lists(
+            st.one_of(st.floats(0.0, 2000.0), st.sampled_from(DEFAULT_BUCKETS_MS)),
+            min_size=1, max_size=200,
+        ),
+        qs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=8),
+    )
+    def test_estimate_is_monotone_and_in_the_exact_bucket(self, samples, qs):
+        hist = MetricsRegistry().histogram("lat_ms")
+        for v in samples:
+            hist.observe(v)
+        qs = sorted(qs)
+        estimates = [hist.quantile(q) for q in qs]
+        assert estimates == sorted(estimates)  # monotone in q
+        for q, est in zip(qs, estimates):
+            # the exact sample at rank q * count: np.percentile(samples,
+            # 100 * q) with the inverted-CDF method (the rank rule the
+            # histogram uses), given q itself so no rescaling rounds it
+            exact = np.quantile(samples, q, method="inverted_cdf")
+            lower, upper = _bucket_bounds(exact, hist.buckets)
+            if upper == float("inf"):
+                assert est == hist.buckets[-1]  # largest finite bound
+            else:
+                assert lower <= est <= upper
+
+    def test_empty_histogram_reports_zero(self):
+        hist = MetricsRegistry().histogram("lat_ms")
+        assert [hist.quantile(q) for q in (0.0, 0.5, 0.99, 1.0)] == [0.0] * 4
+
+    def test_interpolates_inside_the_bucket(self):
+        hist = MetricsRegistry().histogram("lat_ms", buckets=(1.0, 2.0))
+        for v in (1.5, 1.5, 1.5, 1.5):
+            hist.observe(v)
+        assert hist.quantile(0.5) == pytest.approx(1.5)  # halfway through (1, 2]
+        assert hist.quantile(1.0) == pytest.approx(2.0)
+        hist.observe(5.0)
+        assert hist.quantile(1.0) == 2.0  # +Inf rank: largest finite bound
+
+    @pytest.mark.parametrize("q", [-0.1, 1.5])
+    def test_quantile_out_of_range_rejected(self, q):
+        with pytest.raises(ValueError, match="quantile"):
+            MetricsRegistry().histogram("lat_ms").quantile(q)
+
+    def test_merged_sums_buckets(self):
+        reg = MetricsRegistry()
+        a, b = reg.histogram("lat_ms", m="a"), reg.histogram("lat_ms", m="b")
+        for v in (0.2, 3.0):
+            a.observe(v)
+        b.observe(700.0)
+        merged = Histogram.merged([a, b])
+        assert merged.count == 3 and merged.sum == pytest.approx(703.2)
+        assert merged.cumulative() == [
+            (bound, sum(v <= bound for v in (0.2, 3.0, 700.0)))
+            for bound in merged.buckets
+        ] + [(float("inf"), 3)]
+        assert Histogram.merged([]).quantile(0.5) == 0.0
 
 
 class TestPrometheusRendering:
@@ -344,8 +425,7 @@ class TestServingStatsRegistry:
         snap = stats.snapshot()
         assert snap["requests"] == 2 and snap["samples"] == 4
         assert snap["p99_ms"] >= snap["p95_ms"] >= snap["p50_ms"] > 0
-        assert snap["mean_ms"] == pytest.approx(1.5)
-        assert snap["max_ms"] == pytest.approx(2.0)
+        assert snap["mean_ms"] == pytest.approx(1.5)  # exact: sum / count
         assert "serving_request_latency_ms" in snap["metrics"]
         # queue wait is an always-on histogram that resolves sub-0.5 ms waits
         (row,) = snap["metrics"]["serving_queue_wait_ms"]["series"]
@@ -611,6 +691,29 @@ class TestAdminServer:
         # close() tears the admin server down with the cluster
         with pytest.raises((urllib.error.URLError, ConnectionError, OSError)):
             _get(f"http://127.0.0.1:{port}/healthz", timeout=2)
+
+    def test_router_latency_histogram_per_model(self, spec):
+        """The router observes every delivered result once, into a
+        model-labelled histogram that /metrics exports whole, and the
+        router percentiles are read from it."""
+        delivered = {"a": 3, "b": 5}
+        cfg = TelemetryConfig(trace_sample_rate=0.0, metrics_port=0)
+        with ShardedServer(
+            specs={name: spec for name in delivered}, num_shards=1,
+            health_interval_s=0.2, telemetry=cfg,
+        ) as server:
+            for name, n in delivered.items():
+                for i in range(n):
+                    server.submit(_rand(1, seed=i), model=name).result(timeout=60)
+            _, text = _get(f"http://127.0.0.1:{server.metrics_port}/metrics")
+            stats = server.cluster_stats
+        prom = _parse_prom(text)
+        assert "# TYPE cluster_request_latency_ms histogram" in text
+        for name, n in delivered.items():
+            assert prom[f'cluster_request_latency_ms_count{{model="{name}"}}'] == n
+            assert prom[f'cluster_request_latency_ms_bucket{{le="+Inf",model="{name}"}}'] == n
+            assert stats["models"][name]["router_p50_ms"] > 0
+        assert stats["router_p99_ms"] >= stats["router_p50_ms"] > 0
 
 
 class TestTelemetryConfig:

@@ -6,7 +6,7 @@ allowed to fail quietly: every structurally invalid body must raise
 router's retry machinery handles it), never return wrong numbers, and
 never crash the stream with an untyped error.  These tests hit the
 codec directly — no sockets — plus the :class:`CreditGate` backpressure
-primitive whose semantics must mirror the shm slot ring's exactly.
+primitive, the per-shard slot free list of both transports.
 """
 
 import threading
@@ -232,16 +232,22 @@ class TestBundlePayload:
 
 
 # ----------------------------------------------------------------------
-# CreditGate: backpressure matching the shm slot semantics
+# CreditGate: the per-shard slot free list
 # ----------------------------------------------------------------------
 class TestCreditGate:
     def test_acquire_release_cycle(self):
         gate = CreditGate(2)
         a, b = gate.acquire(0.1), gate.acquire(0.1)
         assert {a, b} == {0, 1}
-        assert gate.acquire(timeout=0.01) is None  # full -> timeout, like the ring
+        assert gate.acquire(timeout=0.01) is None  # full -> timeout, not hang
+        got: list = []
+        waiter = threading.Thread(target=lambda: got.append(gate.acquire(timeout=5.0)))
+        waiter.start()
+        gate.release(a)  # wakes the blocked acquirer with the freed token
+        waiter.join(timeout=5.0)
+        assert not waiter.is_alive() and got == [a]
         gate.release(a)
-        assert gate.acquire(0.1) == a  # LIFO free list, like the ring
+        assert gate.acquire(0.1) == a  # LIFO free list
         assert gate.free == 0
 
     def test_double_release_rejected(self):
@@ -250,8 +256,15 @@ class TestCreditGate:
         gate.release(token)
         with pytest.raises(ValueError, match="double release"):
             gate.release(token)
+
+    @pytest.mark.parametrize("token", [-1, 2, 99])
+    def test_release_out_of_range_rejected(self, token):
+        """Tokens are slot indices on shm: one outside ``0..credits-1``
+        (a bogus slot in a worker reply) must not enter the free list."""
+        gate = CreditGate(2)
         with pytest.raises(ValueError, match="out of range"):
-            gate.release(99)
+            gate.release(token)
+        assert gate.free == 2
 
     def test_close_wakes_blocked_acquirer_with_error(self):
         gate = CreditGate(1)
@@ -271,6 +284,8 @@ class TestCreditGate:
         t.join(timeout=5.0)
         assert not t.is_alive()
         assert errors and "closed" in str(errors[0])
+        with pytest.raises(RuntimeError, match="closed"):  # and so does every later one
+            gate.acquire(timeout=5.0)
 
     def test_invalid_credit_count(self):
         with pytest.raises(ValueError, match="credits"):
