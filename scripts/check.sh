@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo check: tier-1 tests (the serving/chaos/membership/multi-tenant
+# Repo check: the active conv backend (native FKW kernel or the numpy
+# fallback), tier-1 tests (the serving/chaos/membership/multi-tenant
 # suites under their own named headers), a smoke run of the
 # latency-budget harness, and a fast benchmark-collection pass.
 #
@@ -33,6 +34,20 @@ SERVING_SUITES=(
 CHAOS_SUITE=tests/runtime/test_chaos.py
 MEMBERSHIP_SUITE=tests/runtime/test_membership.py
 MULTITENANT_SUITE=tests/runtime/test_multitenant.py
+
+# The production conv level is the native FKW kernel, built once per
+# machine into a per-user cache outside the tree.  Where a C compiler is
+# on PATH it must load: otherwise every suite below would silently test
+# the numpy 'gemm' fallback instead of the production path.
+echo "== conv backend =="
+python - <<'PY'
+import shutil, sys
+from repro.compiler import native
+lib = native.library()
+print("conv backend:", f"native ({native.library_path()})" if lib else "gemm (numpy fallback)")
+if lib is None and shutil.which("cc"):
+    sys.exit("cc is on PATH but the native FKW kernel did not build or load")
+PY
 
 echo "== tier-1 tests (named suites below excluded) =="
 ignores=()

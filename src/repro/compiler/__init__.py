@@ -10,7 +10,10 @@ produces everything Figure 7 shows:
 * :mod:`repro.compiler.lre`       — register-level load redundancy
   elimination analysis (§5.4)
 * :mod:`repro.compiler.codegen`   — executable kernels (no-opt /
-  +Reorder / +LRE) and C-like source text
+  +Reorder / +LRE / GEMM in numpy, and the native C kernel) and source
+  text
+* :mod:`repro.compiler.native`    — builds (once per machine) and loads
+  the native FKW conv kernel ``fkw_conv.c``
 * :mod:`repro.compiler.tuner`     — GA parameter auto-tuning with an MLP
   performance estimator (§5.5)
 * :mod:`repro.compiler.lr`        — the layerwise representation (Fig. 8)

@@ -2,9 +2,10 @@
 
 Two products per layer:
 
-* :func:`generate_kernel` — an executable Python convolution closure over
-  the FKW arrays, in three optimization variants that mirror the paper's
-  code skeletons.  All variants are **batched**: they consume an
+* :func:`generate_kernel` — an executable convolution closure over the
+  FKW arrays, in five variants: four numpy levels and the native C
+  kernel that serves production traffic.  All variants are
+  **batched**: they consume an
   ``(N, C, H, W)`` input natively and return ``(N, F, Ho, Wo)`` (a bare
   ``(C, H, W)`` sample is promoted and squeezed back for convenience).
   The opt-level matrix:
@@ -30,9 +31,24 @@ Two products per layer:
                 2-D BLAS call — coordinates absent from all patterns are
                 never loaded.  Every BLAS call has the same shape at any
                 batch size, so outputs are bitwise batch-invariant.
-                This is the production serving level; the first three
-                mirror the paper's Figure 7 ladder structurally.
+                The fallback when no C compiler is available.
+  ``native``    the production level: the C kernel of ``fkw_conv.c``
+                (built once per machine by :mod:`repro.compiler.native`)
+                runs straight from the FKW arrays — only non-zero
+                weights are stored or multiplied, connectivity-pruned
+                kernels are never visited.  Filters are walked in FKR
+                order; each output span is accumulated in vector
+                registers over a branch-free 4-tap body, with bias and
+                activation fused, then stored once.  Stride-1 layers
+                with rows of >= 8 outputs read taps straight from the
+                padded plane; the rest go through a pattern-union
+                im2col.  A fixed per-sample operation order keeps
+                outputs bitwise batch-invariant.  Resolves to ``gemm``
+                (one logged warning) when the library cannot be built.
   ============  =====================================================
+
+  The numpy levels ``no-opt`` / ``reorder`` / ``lre`` mirror the
+  paper's Figure 7 ladder structurally.
 
   The epilogue (bias add + fused activation) is baked into the closure
   when ``bias`` / ``activation`` are given, so a compiled conv node is
@@ -41,32 +57,35 @@ Two products per layer:
 
   Kernels optionally cooperate with a
   :class:`repro.runtime.arena.BufferArena` (``fn(x, arena=...)``): the
-  padded-input scratch, the output accumulator and ``gemm``'s im2col
-  buffer then come from the arena's reusable pools instead of fresh
-  allocations.
+  padded-input scratch, the output accumulator and the im2col buffers
+  of ``gemm`` / ``native`` then come from the arena's reusable pools
+  instead of fresh allocations.
 
 * :class:`KernelCache` — memoises compiled closures by FKW signature +
   ``(stride, padding, opt_level, bias, activation)`` so repeated
-  identical layers (e.g. VGG's stacked same-shape blocks) compile once.
+  identical layers (e.g. VGG's stacked same-shape blocks) compile once;
+  entries are reference-counted and evicted with their last user.
 
-* :func:`generate_source` — C-like source text of the same structure
-  (what PatDNN would hand to the NDK/OpenCL compiler), used by docs,
-  the LR example, and golden tests.
+* :func:`generate_source` — for ``native``, the C source that runs; for
+  the other levels, C-like text of the same structure as Figure 7's
+  skeletons, used by docs, the LR example, and golden tests.
 """
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import threading
 from collections.abc import Callable
 
 import numpy as np
 
+from repro.compiler import native
 from repro.compiler.storage import FKWLayer
 
 KernelFn = Callable[..., np.ndarray]
 
-_OPT_LEVELS = ("no-opt", "reorder", "lre", "gemm")
+_OPT_LEVELS = ("no-opt", "reorder", "lre", "gemm", "native")
 _ACTIVATIONS = (None, "relu", "relu6")
 
 
@@ -125,7 +144,8 @@ def generate_kernel(
 
     Args:
         fkw: packed layer.
-        opt_level: ``'no-opt'`` | ``'reorder'`` | ``'lre'`` | ``'gemm'``.
+        opt_level: ``'no-opt'`` | ``'reorder'`` | ``'lre'`` | ``'gemm'`` |
+            ``'native'``.
         bias: optional (F,) bias fused into the kernel epilogue.
         activation: optional fused activation (``'relu'`` | ``'relu6'``).
 
@@ -147,6 +167,8 @@ def generate_kernel(
         return _kernel_reorder(fkw, stride, padding, bias, activation)
     if opt_level == "lre":
         return _kernel_lre(fkw, stride, padding, bias, activation)
+    if opt_level == "native" and native.library() is not None:
+        return _kernel_native(fkw, stride, padding, bias, activation)
     return _kernel_gemm(fkw, stride, padding, bias, activation)
 
 
@@ -370,6 +392,76 @@ def _kernel_gemm(
     return fn
 
 
+def _kernel_native(
+    fkw: FKWLayer, stride: int, padding: int, bias: np.ndarray | None, activation: str | None
+) -> KernelFn:
+    """'native': the C kernel of ``fkw_conv.c`` run straight from the FKW
+    arrays — only the non-zeros are stored or multiplied.
+
+    The closure holds the FKW arrays (no dense weight matrix) plus a
+    per-pattern tap table and the pattern-union slot map, described to C
+    by one :class:`~repro.compiler.native.FKWLayerStruct` built here, so
+    a call passes just the input, output and scratch pointers.  Scratch
+    (the padded input and, for layers the kernel runs through im2col,
+    the union-tap columns) comes from the caller's arena, so concurrent
+    calls never share memory; ``ctypes`` drops the GIL for the call.
+    """
+    lib = native.library()
+    f, c, kh, kw = fkw.shape
+    entries = fkw.entries
+    ps = fkw.pattern_set
+    union = _pattern_union(fkw)
+    taps = np.zeros((len(ps) + 1, entries), np.int32)  # row 0: pattern id 0 is never stored
+    for pid in range(1, len(ps) + 1):
+        taps[pid] = [r * kw + cc for r, cc in ps[pid].coords]
+    slots = np.full(kh * kw, -1, np.int32)
+    for u, (r, cc) in enumerate(union):
+        slots[r * kw + cc] = u
+    # the FKW arrays themselves, in the dtypes FKWLayer stores them in
+    arrays = {
+        "offset": np.ascontiguousarray(fkw.offset, np.int32),
+        "reorder": np.ascontiguousarray(fkw.reorder, np.uint16),
+        "index": np.ascontiguousarray(fkw.index, np.uint16),
+        "pattern": np.ascontiguousarray(fkw.pattern_ids, np.uint8),
+        "weights": np.ascontiguousarray(fkw.weights, np.float32),
+        "taps": taps,
+        "slots": slots,
+        "union_taps": np.array([r * kw + cc for r, cc in union], np.int32),
+    }
+    if bias is not None:
+        arrays["bias"] = np.ascontiguousarray(bias, np.float32).reshape(f)
+    layer = native.FKWLayerStruct(
+        filters=f, channels=c, kh=kh, kw=kw, entries=entries, stride=stride,
+        activation=_ACTIVATIONS.index(activation), num_patterns=len(ps), union_size=len(union),
+        **{name: arr.ctypes.data for name, arr in arrays.items()},
+    )
+    layer_ref = ctypes.byref(layer)
+    scratch_floats: dict[tuple[int, int], int] = {}
+
+    def fn(x: np.ndarray, arena=None) -> np.ndarray:
+        x, squeeze = _normalize_input(x, c)
+        if x.dtype != np.float32:
+            x = x.astype(np.float32)
+        xp = np.ascontiguousarray(_padded(x, padding, arena))
+        n, _, hp, wp = xp.shape
+        ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
+        out = _alloc_out((n, f, ho, wo), arena, zero=False)  # every element is written
+        if not out.size:  # empty batch or zero-width output: nothing to compute
+            return _finish(out, squeeze, arena)
+        need = scratch_floats.get((hp, wp))
+        if need is None:
+            need = scratch_floats[(hp, wp)] = lib.fkw_conv_scratch(layer_ref, hp, wp)
+        col = _alloc_out((need,), arena, zero=False) if need else None
+        lib.fkw_conv(layer_ref, xp.ctypes.data, n, hp, wp, out.ctypes.data,
+                     None if col is None else col.ctypes.data)
+        if col is not None and arena is not None:
+            arena.release(col)
+        return _finish(out, squeeze, arena)
+
+    fn.native_arrays = arrays  # keeps every buffer the struct points at alive
+    return fn
+
+
 # ----------------------------------------------------------------------
 # Kernel cache
 # ----------------------------------------------------------------------
@@ -391,6 +483,13 @@ class KernelCache:
     activation share one closure — repeated VGG-style blocks compile
     once per distinct layer.  ``hits`` / ``misses`` expose the effect.
 
+    Entries are reference-counted: every :meth:`acquire` (and
+    :meth:`get`) counts one user of its key, and :meth:`release` drops
+    one; the entry — and the weight copies its closure pins — is evicted
+    when its last user releases it.  A process-wide cache shared by
+    hot-loaded models therefore holds exactly the kernels of the models
+    still loaded.
+
     Thread-safe: lookups, compiles, and counter updates run under an
     internal lock, so one cache may back executors shared across
     threads (compilation of a given key happens exactly once).
@@ -399,10 +498,11 @@ class KernelCache:
     def __init__(self) -> None:
         self._lock = threading.Lock()
         self._kernels: dict[tuple, KernelFn] = {}
+        self._users: dict[tuple, int] = {}
         self.hits = 0
         self.misses = 0
 
-    def get(
+    def acquire(
         self,
         fkw: FKWLayer,
         stride: int = 1,
@@ -410,21 +510,40 @@ class KernelCache:
         opt_level: str = "lre",
         bias: np.ndarray | None = None,
         activation: str | None = None,
-    ) -> KernelFn:
+    ) -> tuple[tuple, KernelFn]:
+        """The layer's kernel (compiled on a miss) and the key to
+        :meth:`release` it by; counts one user of that key."""
         key = (fkw.signature(), stride, padding, opt_level, _bias_digest(bias), activation)
         with self._lock:
             fn = self._kernels.get(key)
             if fn is not None:
                 self.hits += 1
-                return fn
-            self.misses += 1
-            fn = generate_kernel(fkw, stride, padding, opt_level, bias=bias, activation=activation)
-            self._kernels[key] = fn
-            return fn
+            else:
+                self.misses += 1
+                fn = generate_kernel(fkw, stride, padding, opt_level, bias=bias, activation=activation)
+                self._kernels[key] = fn
+            self._users[key] = self._users.get(key, 0) + 1
+            return key, fn
+
+    def get(self, *args, **kwargs) -> KernelFn:
+        """:meth:`acquire` for callers that never release (the entry then
+        lives as long as the cache)."""
+        return self.acquire(*args, **kwargs)[1]
+
+    def release(self, key: tuple) -> None:
+        """Drop one user of ``key``; evict the entry with its last user."""
+        with self._lock:
+            users = self._users.get(key, 0) - 1
+            if users > 0:
+                self._users[key] = users
+            elif users == 0:
+                del self._users[key]
+                del self._kernels[key]
 
     def clear(self) -> None:
         with self._lock:
             self._kernels.clear()
+            self._users.clear()
             self.hits = self.misses = 0
 
     def __len__(self) -> int:
@@ -435,11 +554,14 @@ class KernelCache:
 # C-like source emission
 # ----------------------------------------------------------------------
 def generate_source(fkw: FKWLayer, opt_level: str = "lre", unroll_oc: int = 4, device: str = "cpu") -> str:
-    """Emit C-like source text with the structure of Figure 7's skeletons.
+    """Emit the kernel source for one layer.
 
-    This is documentation-grade output (the real PatDNN emits vectorised
-    C++/OpenCL); tests assert its structural properties — e.g. the
-    reorder variant contains no ``switch``.
+    For ``'native'`` this is the C that runs: the generic FKW kernel of
+    ``fkw_conv.c``, which takes the layer's FKW arrays as data, under a
+    header naming the layer.  For the numpy levels it is C-like text
+    with the structure of Figure 7's skeletons (the real PatDNN emits
+    vectorised C++/OpenCL); tests assert its structural properties —
+    e.g. the reorder variant contains no ``switch``.
     """
     if opt_level not in _OPT_LEVELS:
         raise ValueError(f"opt_level must be one of {_OPT_LEVELS}, got {opt_level!r}")
@@ -449,6 +571,8 @@ def generate_source(fkw: FKWLayer, opt_level: str = "lre", unroll_oc: int = 4, d
         f"// PatDNN generated {device.upper()} kernel: conv {f}x{c}x{kh}x{kw}",
         f"// format=FKW kernels={fkw.num_kernels} patterns={k} opt={opt_level}",
     ]
+    if opt_level == "native":
+        return "\n".join(header) + "\n" + native.SOURCE.read_text()
     body: list[str] = []
     if opt_level == "no-opt":
         body += [

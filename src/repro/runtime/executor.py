@@ -128,13 +128,17 @@ class CompiledExecutor(ReferenceExecutor):
         pattern_set / assignments: pruning artifacts; ``assignments``
             maps conv node names to (F, C) pattern-id arrays.
         opt_level: codegen variant (``'no-opt'`` | ``'reorder'`` | ``'lre'``
-            | ``'gemm'``).  ``'gemm'`` — the default — is the serving
-            production level (a pattern-union im2col, then one BLAS call
-            per sample, so outputs are bitwise batch-invariant); the
-            other three mirror the paper's Figure 7 ladder structurally.
+            | ``'gemm'`` | ``'native'``).  ``'native'`` — the default — is
+            the serving production level: the C FKW kernel, which
+            multiplies only the non-zero weights and keeps outputs
+            bitwise batch-invariant; it resolves to ``'gemm'`` (numpy
+            pattern-union im2col + one BLAS call per sample) when no C
+            compiler is available.  The other three mirror the paper's
+            Figure 7 ladder structurally.
         kernel_cache: compile-once cache; a private one is created when
             omitted.  Repeated identical layers share one closure
-            (``kernel_cache.hits`` counts the saves).
+            (``kernel_cache.hits`` counts the saves); the entries this
+            executor took are given back by :meth:`release_kernels`.
         arena: scratch-buffer arena reused across ``run()`` calls; a
             private one is created when omitted.
         arena_max_bytes: retained-scratch cap for the private arena (LRU
@@ -147,7 +151,7 @@ class CompiledExecutor(ReferenceExecutor):
         graph: Graph,
         pattern_set: PatternSet,
         assignments: dict[str, np.ndarray],
-        opt_level: str = "gemm",
+        opt_level: str = "native",
         kernel_cache: KernelCache | None = None,
         arena: BufferArena | None = None,
         arena_max_bytes: int | None = None,
@@ -158,6 +162,7 @@ class CompiledExecutor(ReferenceExecutor):
         self.kernel_cache = kernel_cache if kernel_cache is not None else KernelCache()
         self.arena = arena if arena is not None else BufferArena(max_bytes=arena_max_bytes)
         self._compiled: dict[str, KernelFn] = {}
+        self._cache_keys: list[tuple] = []
         for name, assignment in assignments.items():
             if name not in graph.nodes:
                 raise KeyError(f"assignment for unknown node {name!r}")
@@ -167,7 +172,7 @@ class CompiledExecutor(ReferenceExecutor):
             weights = node.params["weight"]
             fkr = filter_kernel_reorder(assignment)
             fkw = FKWLayer.from_pruned(weights, assignment, pattern_set, fkr)
-            self._compiled[name] = self.kernel_cache.get(
+            key, self._compiled[name] = self.kernel_cache.acquire(
                 fkw,
                 node.attrs.get("stride", 1),
                 node.attrs.get("padding", 0),
@@ -175,9 +180,20 @@ class CompiledExecutor(ReferenceExecutor):
                 bias=node.params.get("bias"),
                 activation=node.attrs.get("activation"),
             )
+            self._cache_keys.append(key)
 
     def run(self, x: np.ndarray) -> np.ndarray:
         return self._execute(x, arena=self.arena)
+
+    def release_kernels(self) -> None:
+        """Give this executor's kernel-cache entries back (idempotent).
+
+        The executor keeps its own references, so ``run`` still works;
+        the shared cache stops pinning kernels no other executor uses.
+        """
+        keys, self._cache_keys = self._cache_keys, []
+        for key in keys:
+            self.kernel_cache.release(key)
 
     def _dispatch(self, node, inputs: list[np.ndarray], arena) -> np.ndarray:
         fn = self._compiled.get(node.name)

@@ -74,7 +74,7 @@ class SessionSpec:
     bundle_path: str
     model_kwargs: dict[str, Any] = field(default_factory=dict)
     optimize_graph: bool = True
-    opt_level: str = "gemm"
+    opt_level: str = "native"
     arena_max_bytes: int | None = None
     serving_config: ServingConfig | None = None
     output_shape: tuple[int, ...] | None = None
@@ -246,8 +246,10 @@ class InferenceSession:
             never silently falls back to dense execution.
         optimize_graph: apply BN-fold / fusion / replacement passes.
         opt_level: codegen variant for compiled layers (``'no-opt'`` |
-            ``'reorder'`` | ``'lre'`` | ``'gemm'``; the default
-            ``'gemm'`` is the fastest batch-serving level).
+            ``'reorder'`` | ``'lre'`` | ``'gemm'`` | ``'native'``; the
+            default ``'native'`` is the production C kernel, which falls
+            back to the numpy ``'gemm'`` level when no C compiler is
+            available).
         arena_max_bytes: optional cap on the compiled executor's retained
             scratch (LRU-evicted beyond it; see
             :class:`~repro.runtime.arena.BufferArena`).
@@ -265,7 +267,7 @@ class InferenceSession:
         pattern_set: PatternSet | None = None,
         assignments: dict[str, np.ndarray] | None = None,
         optimize_graph: bool = True,
-        opt_level: str = "gemm",
+        opt_level: str = "native",
         arena_max_bytes: int | None = None,
         serving_config: ServingConfig | None = None,
         kernel_cache=None,
@@ -455,11 +457,15 @@ class InferenceSession:
         return server.stats if server is not None else None
 
     def close(self) -> None:
-        """Shut down the async front-end (idempotent; ``run`` still works)."""
+        """Shut down the async front-end and give the compiled kernels
+        back to the (possibly shared) kernel cache.  Idempotent; ``run``
+        still works — the executor keeps its own kernel references."""
         with self._server_lock:
             if self._server is not None:
                 self._server.close()
                 self._server = None
+            if isinstance(self.executor, CompiledExecutor):
+                self.executor.release_kernels()
 
     def __enter__(self) -> InferenceSession:
         return self

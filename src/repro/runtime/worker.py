@@ -36,6 +36,7 @@ from concurrent.futures import Future
 
 import numpy as np
 
+from repro.compiler import native
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.resilience import (
     CorruptedPayloadError,
@@ -109,8 +110,9 @@ class ModelHost:
 
     def unload(self, name: str) -> None:
         """Drain and drop one model: its queue is closed (queued requests
-        still execute and reply), then the session is released.  The
-        shared cache/arena keep any entries other tenants still use."""
+        still execute and reply), then the session is closed, which
+        releases its kernel-cache entries — the shared cache keeps only
+        kernels other tenants still use."""
         with self._lock:
             entry = self._models.pop(name, None)
         if entry is None:
@@ -161,7 +163,7 @@ class ModelHost:
         ``"metrics"`` key is the shared registry snapshot, whose
         serving_* series carry ``model`` labels; the worker_* gauges
         report what the shared arena and kernel cache hold at snapshot
-        time."""
+        time, and whether this process runs the native conv kernel."""
         gauge = self.registry.gauge
         gauge("worker_arena_footprint_bytes", "bytes held by the shared buffer arena").set(
             self.arena.footprint_bytes)
@@ -171,6 +173,9 @@ class ModelHost:
             len(self.kernel_cache))
         gauge("worker_kernel_cache_hits", "conv compilations the kernel cache saved").set(
             self.kernel_cache.hits)
+        gauge("worker_kernel_backend_native",
+              "1 when conv kernels run natively, 0 on the numpy fallback").set(
+            int(native.loaded()))
         with self._lock:
             entries = dict(self._models)
         per_model: dict[str, dict] = {}

@@ -28,7 +28,7 @@ def _fkw(seed=0, f=8, c=5, k=6, keep_frac=0.5):
     return w, FKWLayer.from_pruned(w, a * m, ps), rng
 
 
-OPT_LEVELS = ["no-opt", "reorder", "lre", "gemm"]
+OPT_LEVELS = ["no-opt", "reorder", "lre", "gemm", "native"]
 
 
 class TestCodegenCorrectness:

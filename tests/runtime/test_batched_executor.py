@@ -16,7 +16,7 @@ from repro.core.projections import project_connectivity, project_kernel_pattern
 from repro.graph.ir import Graph, Node, OpKind, run_shape_inference
 from repro.runtime import BufferArena, CompiledExecutor, ReferenceExecutor
 
-OPT_LEVELS = ["no-opt", "reorder", "lre", "gemm"]
+OPT_LEVELS = ["no-opt", "reorder", "lre", "gemm", "native"]
 
 
 def _pruned_conv(rng, ps, f, c, scale=True):
