@@ -239,12 +239,16 @@ def test_all_opt_levels_match_reference(stack, inputs):
 
 
 def test_kernel_cache_and_arena_effective(stack, inputs):
-    """Steady-state serving reuses buffers; pads are not reallocated."""
+    """Steady-state serving reuses buffers: after the first run nothing is
+    allocated again — no output, scratch or pad buffer (the default
+    native level pads inside C, so it takes no arena pads at all)."""
     g, ps, assignments = stack
     ex = CompiledExecutor(g, ps, assignments)
-    for _ in range(4):
+    ex.run(inputs[8])
+    allocated = (ex.arena.allocations, ex.arena.pad_allocations)
+    for _ in range(3):
         ex.run(inputs[8])
+    assert (ex.arena.allocations, ex.arena.pad_allocations) == allocated
     assert ex.arena.reuses > 0
-    assert ex.arena.pad_reuses > 0
     # distinct shapes in this stack: every layer compiled exactly once
     assert ex.kernel_cache.misses == len(assignments)

@@ -38,15 +38,24 @@ MULTITENANT_SUITE=tests/runtime/test_multitenant.py
 # The production conv level is the native FKW kernel, built once per
 # machine into a per-user cache outside the tree.  Where a C compiler is
 # on PATH it must load: otherwise every suite below would silently test
-# the numpy 'gemm' fallback instead of the production path.
+# the numpy 'gemm' fallback instead of the production path.  The kernel
+# must also compile cleanly with warnings as errors (into a temp file,
+# never the cache), and the vector width it was built for is printed so
+# AVX2 and AVX-512 numbers are never compared blind.
 echo "== conv backend =="
 python - <<'PY'
-import shutil, sys
+import os, shutil, subprocess, sys, tempfile
 from repro.compiler import native
 lib = native.library()
 print("conv backend:", f"native ({native.library_path()})" if lib else "gemm (numpy fallback)")
 if lib is None and shutil.which("cc"):
     sys.exit("cc is on PATH but the native FKW kernel did not build or load")
+if lib is not None:
+    print("vector width:", lib.fkw_conv_vector_bits(), "bits")
+    with tempfile.TemporaryDirectory() as tmp:
+        subprocess.run([native._compiler(), *native.FLAGS, "-Wall", "-Wextra", "-Werror",
+                        "-o", os.path.join(tmp, "fkw_conv.so"), str(native.SOURCE)], check=True)
+    print("fkw_conv.c: clean under -Wall -Wextra -Werror")
 PY
 
 echo "== tier-1 tests (named suites below excluded) =="

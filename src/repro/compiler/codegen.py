@@ -37,12 +37,13 @@ Two products per layer:
                 runs straight from the FKW arrays — only non-zero
                 weights are stored or multiplied, connectivity-pruned
                 kernels are never visited.  Filters are walked in FKR
-                order; each output span is accumulated in vector
+                order; each output block is accumulated in vector
                 registers over a branch-free 4-tap body, with bias and
                 activation fused, then stored once.  Stride-1 layers
                 with rows of >= 8 outputs read taps straight from the
-                padded plane; the rest go through a pattern-union
-                im2col.  A fixed per-sample operation order keeps
+                zero-padded sample, two or four rows per pass; the rest
+                go through a pattern-union im2col.  The kernel pads the
+                input itself.  A fixed per-sample operation order keeps
                 outputs bitwise batch-invariant.  Resolves to ``gemm``
                 (one logged warning) when the library cannot be built.
   ============  =====================================================
@@ -57,9 +58,13 @@ Two products per layer:
 
   Kernels optionally cooperate with a
   :class:`repro.runtime.arena.BufferArena` (``fn(x, arena=...)``): the
-  padded-input scratch, the output accumulator and the im2col buffers
-  of ``gemm`` / ``native`` then come from the arena's reusable pools
-  instead of fresh allocations.
+  output and the scratch then come from the arena's reusable pools
+  instead of fresh allocations.  The numpy levels take their padded
+  input from :meth:`~repro.runtime.arena.BufferArena.padded` and
+  ``gemm`` its im2col buffer from the pool.  ``native`` pads inside C,
+  so its closure makes one output acquire, one acquire/release of a
+  per-sample scratch (the padded sample or its im2col columns, sized by
+  ``fkw_conv_scratch``) and one ctypes call.
 
 * :class:`KernelCache` — memoises compiled closures by FKW signature +
   ``(stride, padding, opt_level, bias, activation)`` so repeated
@@ -123,6 +128,15 @@ def _epilogue(out: np.ndarray, bias: np.ndarray | None, activation: str | None) 
     elif activation == "relu6":
         np.clip(out, 0.0, 6.0, out=out)
     return out
+
+
+def _address(arr: np.ndarray) -> int:
+    """Data address of a C-contiguous array, without the ~2 us
+    ``arr.ctypes`` object (read-only or empty arrays take that path)."""
+    try:
+        return ctypes.addressof(ctypes.c_char.from_buffer(arr))
+    except (TypeError, ValueError):
+        return arr.ctypes.data
 
 
 def _finish(out: np.ndarray, squeeze: bool, arena) -> np.ndarray:
@@ -400,11 +414,15 @@ def _kernel_native(
 
     The closure holds the FKW arrays (no dense weight matrix) plus a
     per-pattern tap table and the pattern-union slot map, described to C
-    by one :class:`~repro.compiler.native.FKWLayerStruct` built here, so
-    a call passes just the input, output and scratch pointers.  Scratch
-    (the padded input and, for layers the kernel runs through im2col,
-    the union-tap columns) comes from the caller's arena, so concurrent
-    calls never share memory; ``ctypes`` drops the GIL for the call.
+    by one :class:`~repro.compiler.native.FKWLayerStruct` built here
+    (stride, padding and the fused epilogue included), so a call passes
+    just the unpadded input, the output and one scratch pointer.  The
+    kernel pads each sample itself into that scratch — or gathers its
+    im2col columns into it — so the Python side is one output acquire,
+    one scratch acquire/release and one ctypes call.  Scratch holds one
+    sample whatever the batch size and comes from the caller's arena, so
+    concurrent calls never share memory; ``ctypes`` drops the GIL for
+    the call.
     """
     lib = native.library()
     f, c, kh, kw = fkw.shape
@@ -431,31 +449,30 @@ def _kernel_native(
     if bias is not None:
         arrays["bias"] = np.ascontiguousarray(bias, np.float32).reshape(f)
     layer = native.FKWLayerStruct(
-        filters=f, channels=c, kh=kh, kw=kw, entries=entries, stride=stride,
+        filters=f, channels=c, kh=kh, kw=kw, entries=entries, stride=stride, padding=padding,
         activation=_ACTIVATIONS.index(activation), num_patterns=len(ps), union_size=len(union),
         **{name: arr.ctypes.data for name, arr in arrays.items()},
     )
     layer_ref = ctypes.byref(layer)
+    conv, scratch_size = lib.fkw_conv, lib.fkw_conv_scratch
     scratch_floats: dict[tuple[int, int], int] = {}
 
     def fn(x: np.ndarray, arena=None) -> np.ndarray:
         x, squeeze = _normalize_input(x, c)
-        if x.dtype != np.float32:
-            x = x.astype(np.float32)
-        xp = np.ascontiguousarray(_padded(x, padding, arena))
-        n, _, hp, wp = xp.shape
-        ho, wo = (hp - kh) // stride + 1, (wp - kw) // stride + 1
-        out = _alloc_out((n, f, ho, wo), arena, zero=False)  # every element is written
+        x = np.ascontiguousarray(x, np.float32)  # the kernel pads it itself
+        n, _, h, w = x.shape
+        out = _alloc_out((n, f, _out_hw(h, kh, stride, padding), _out_hw(w, kw, stride, padding)),
+                         arena, zero=False)  # every element is written
         if not out.size:  # empty batch or zero-width output: nothing to compute
             return _finish(out, squeeze, arena)
-        need = scratch_floats.get((hp, wp))
+        need = scratch_floats.get((h, w))
         if need is None:
-            need = scratch_floats[(hp, wp)] = lib.fkw_conv_scratch(layer_ref, hp, wp)
-        col = _alloc_out((need,), arena, zero=False) if need else None
-        lib.fkw_conv(layer_ref, xp.ctypes.data, n, hp, wp, out.ctypes.data,
-                     None if col is None else col.ctypes.data)
-        if col is not None and arena is not None:
-            arena.release(col)
+            need = scratch_floats[(h, w)] = scratch_size(layer_ref, h, w)
+        scratch = _alloc_out((need,), arena, zero=False) if need else None
+        conv(layer_ref, _address(x), n, h, w, _address(out),
+             None if scratch is None else _address(scratch))
+        if scratch is not None and arena is not None:
+            arena.release(scratch)
         return _finish(out, squeeze, arena)
 
     fn.native_arrays = arrays  # keeps every buffer the struct points at alive
@@ -539,6 +556,14 @@ class KernelCache:
             elif users == 0:
                 del self._users[key]
                 del self._kernels[key]
+
+    def native_only(self) -> bool:
+        """Whether the cache holds kernels and every one is the native C
+        kernel (an ``opt_level='native'`` key that fell back to ``gemm``,
+        or any other level, makes this False)."""
+        with self._lock:
+            kernels = list(self._kernels.values())
+        return bool(kernels) and all(hasattr(fn, "native_arrays") for fn in kernels)
 
     def clear(self) -> None:
         with self._lock:

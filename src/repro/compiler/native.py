@@ -59,6 +59,7 @@ class FKWLayerStruct(ctypes.Structure):
         ("kw", ctypes.c_int32),
         ("entries", ctypes.c_int32),
         ("stride", ctypes.c_int32),
+        ("padding", ctypes.c_int32),
         ("activation", ctypes.c_int32),
         ("num_patterns", ctypes.c_int32),
         ("union_size", ctypes.c_int32),
@@ -172,6 +173,8 @@ def _load() -> tuple[ctypes.CDLL, Path]:
         ctypes.c_int32, ctypes.c_void_p, ctypes.c_void_p,
     ]
     lib.fkw_conv.restype = None
+    lib.fkw_conv_vector_bits.argtypes = []
+    lib.fkw_conv_vector_bits.restype = ctypes.c_int32
     return lib, path
 
 

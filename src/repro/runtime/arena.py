@@ -1,20 +1,21 @@
 """Shape-keyed scratch-buffer arena for the compiled runtime.
 
-The batched FKW kernels allocate two kinds of scratch per call: a padded
-copy of the layer input and a zeroed accumulator for the layer output.
-Re-allocating (and re-zeroing) both on every ``run()`` is pure overhead
-under steady traffic, so :class:`BufferArena` keeps them alive across
-calls:
+The batched FKW kernels allocate scratch per call: an output buffer and,
+depending on the level, a padded copy of the layer input (the numpy
+levels) or a per-sample scratch the native kernel pads into or gathers
+its im2col columns into.  Re-allocating (and re-zeroing) them on every
+``run()`` is pure overhead under steady traffic, so :class:`BufferArena`
+keeps them alive across calls:
 
 * **Padded-input scratch** is persistent per ``(thread, input shape,
   padding, dtype)`` key.  The zero border is written once at allocation;
   later calls only copy the interior (the border is never written with
   anything else, so it stays zero) — the ``np.pad`` allocate-and-copy
   disappears from the steady state.
-* **General buffers** (kernel outputs) cycle through a shape-keyed free
-  pool: the executor acquires them per node and releases them back when
-  liveness says the value is dead, so two same-shaped conv layers in a
-  network share one physical accumulator.
+* **General buffers** (kernel outputs, kernel scratch) cycle through a
+  shape-keyed free pool: the executor acquires them per node and
+  releases them back when liveness says the value is dead, so two
+  same-shaped conv layers in a network share one physical accumulator.
 
 Thread safety
 -------------
@@ -44,8 +45,9 @@ Safety rules the executor relies on:
 * ``release`` only accepts buffers the arena itself allocated (tracked
   by identity); foreign arrays — user inputs, reference-kernel outputs —
   are silently ignored, so releasing indiscriminately is safe.
-* ``sanitize_output`` copies a result that aliases arena memory before
-  it escapes to the caller, so a later ``run()`` can never overwrite a
+* ``sanitize_output`` copies a result that aliases arena memory (the
+  buffer itself or any view whose ``.base`` chain reaches it) before it
+  escapes to the caller, so a later ``run()`` can never overwrite a
   value the user still holds.
 """
 
@@ -89,7 +91,8 @@ class BufferArena:
         # running total of owned + pad bytes; kept incrementally so the
         # cap check never re-scans every buffer under the lock.
         self._footprint = 0
-        # LRU clocks: id -> tick for pooled buffers, pad key -> tick.
+        # LRU clocks: id -> tick for pooled buffers (an id is present
+        # exactly while its buffer sits in a pool), pad key -> tick.
         self._tick = 0
         self._free_tick: dict[int, int] = {}
         self._pad_tick: dict[tuple, int] = {}
@@ -149,7 +152,7 @@ class BufferArena:
     # ------------------------------------------------------------------
     def acquire(self, shape: tuple[int, ...], dtype=np.float32, zero: bool = False) -> np.ndarray:
         """Hand out a buffer of ``shape``, recycling a free one if possible."""
-        key = (tuple(shape), np.dtype(dtype).str)
+        key = (tuple(shape), np.dtype(dtype))
         ident = threading.get_ident()
         buf = None
         with self._lock:
@@ -184,10 +187,9 @@ class BufferArena:
         with self._lock:
             if id(arr) not in self._owned:
                 return
-            pool = self._free.setdefault((arr.shape, arr.dtype.str), [])
-            if any(b is arr for b in pool):  # guard against double release
+            if id(arr) in self._free_tick:  # already pooled: a double release
                 return
-            pool.append(arr)
+            self._free.setdefault((arr.shape, arr.dtype), []).append(arr)
             self._free_tick[id(arr)] = self._next_tick()
             for flight in self._in_flight.values():
                 if flight.pop(id(arr), None) is not None:
@@ -261,9 +263,8 @@ class BufferArena:
             for ident in idents:
                 self._flight_owner.pop(ident, None)
                 for buf in self._in_flight.pop(ident, {}).values():
-                    pool = self._free.setdefault((buf.shape, buf.dtype.str), [])
-                    if not any(b is buf for b in pool):
-                        pool.append(buf)
+                    if id(buf) not in self._free_tick:  # not pooled yet
+                        self._free.setdefault((buf.shape, buf.dtype), []).append(buf)
                         self._free_tick[id(buf)] = self._next_tick()
             # drop pad scratch of exited threads: it is keyed by thread
             # ident and would otherwise leak one pad set per dead thread
@@ -281,12 +282,18 @@ class BufferArena:
 
     # ------------------------------------------------------------------
     def sanitize_output(self, arr: np.ndarray) -> np.ndarray:
-        """Copy ``arr`` if it aliases arena memory, else return it as-is."""
+        """Copy ``arr`` if it aliases arena memory, else return it as-is.
+
+        Ownership is decided by identity along the ``.base`` chain: every
+        view of an arena buffer (reshape, slice, squeeze) leads back to the
+        buffer object itself, so no overlap test against each owned buffer
+        is needed."""
         with self._lock:
-            buffers = list(self._owned.values())
-        for buf in buffers:
-            if arr is buf or np.may_share_memory(arr, buf):
-                return arr.copy()
+            base = arr
+            while base is not None:
+                if self._owned.get(id(base)) is base:
+                    return arr.copy()
+                base = getattr(base, "base", None)
         return arr
 
     def clear(self) -> None:

@@ -38,6 +38,9 @@ from repro.runtime.arena import BufferArena
 from repro.runtime.ops import eval_node
 from repro.runtime.telemetry import active_layer_profile
 
+# Ops whose reference kernel may return a view of its input (ops.eval_node).
+_ALIASING_OPS = (OpKind.FLATTEN, OpKind.OUTPUT)
+
 
 class ReferenceExecutor:
     """Interpret a graph with reference numpy kernels.
@@ -58,6 +61,13 @@ class ReferenceExecutor:
         for name, last in compute_liveness(graph, self._order).items():
             if last < steps:
                 self._dies_at.setdefault(last, []).append(name)
+        # Values a view of which may outlive them: inputs of the nodes
+        # whose reference kernels return their input (or a reshape of it)
+        # rather than a fresh array.  Every other value is unaliased when
+        # it dies, so retiring it needs no overlap scan.
+        self._aliased = {
+            name for node in self._order if node.op in _ALIASING_OPS for name in node.inputs
+        }
 
     # ------------------------------------------------------------------
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -107,7 +117,9 @@ class ReferenceExecutor:
                 continue
             # A view of this buffer may still be live (e.g. FLATTEN's
             # reshape aliases the conv output) — keep it out of the pool.
-            if any(dead is live or np.may_share_memory(dead, live) for live in values.values()):
+            if name in self._aliased and any(
+                dead is live or np.may_share_memory(dead, live) for live in values.values()
+            ):
                 continue
             arena.release(dead)
 

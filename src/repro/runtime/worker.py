@@ -36,7 +36,6 @@ from concurrent.futures import Future
 
 import numpy as np
 
-from repro.compiler import native
 from repro.runtime.faults import FaultInjector, FaultPlan
 from repro.runtime.resilience import (
     CorruptedPayloadError,
@@ -163,7 +162,7 @@ class ModelHost:
         ``"metrics"`` key is the shared registry snapshot, whose
         serving_* series carry ``model`` labels; the worker_* gauges
         report what the shared arena and kernel cache hold at snapshot
-        time, and whether this process runs the native conv kernel."""
+        time, and whether every conv kernel it holds is native."""
         gauge = self.registry.gauge
         gauge("worker_arena_footprint_bytes", "bytes held by the shared buffer arena").set(
             self.arena.footprint_bytes)
@@ -174,8 +173,8 @@ class ModelHost:
         gauge("worker_kernel_cache_hits", "conv compilations the kernel cache saved").set(
             self.kernel_cache.hits)
         gauge("worker_kernel_backend_native",
-              "1 when conv kernels run natively, 0 on the numpy fallback").set(
-            int(native.loaded()))
+              "1 when every cached conv kernel is the native C kernel, else 0").set(
+            int(self.kernel_cache.native_only()))
         with self._lock:
             entries = dict(self._models)
         per_model: dict[str, dict] = {}

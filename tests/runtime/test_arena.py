@@ -135,6 +135,16 @@ class TestSanitizeOutput:
         view = buf[0]
         assert arena.sanitize_output(view) is not view
 
+    def test_view_of_view_copied(self):
+        """Ownership follows the whole ``.base`` chain: a reshape of a slice
+        of an owned buffer is still arena memory."""
+        arena = BufferArena()
+        buf = arena.acquire((2, 3, 4), zero=True)
+        view = buf[1:].reshape(-1)[::2]
+        out = arena.sanitize_output(view)
+        assert out is not view and not np.shares_memory(out, buf)
+        np.testing.assert_array_equal(out, view)
+
     def test_foreign_array_passes_through(self):
         arena = BufferArena()
         arena.acquire((2, 2))

@@ -196,6 +196,50 @@ class TestBatchedEquality:
         assert ex.arena.allocations == allocs_after_first
         assert ex.arena.reuses >= 5
 
+    def _twin_conv_graph(self, output):
+        """x -> convA -> flatA and x -> convB -> flatB (same shapes, other
+        weights), joined by ``output``: 'add' of the two views, or 'flat'
+        (flatA itself is the graph output)."""
+        rng = np.random.default_rng(3)
+        ps = PatternSet(enumerate_candidate_patterns()[:6])
+        g = Graph("twin-conv")
+        g.add(Node("x", OpKind.INPUT, attrs={"shape": (3, 6, 6)}))
+        assignments = {}
+        for tag in "AB":
+            w, assignments[f"conv{tag}"] = _pruned_conv(rng, ps, 8, 3)
+            attrs = {"kernel_size": 3, "stride": 1, "padding": 1, "out_channels": 8}
+            g.add(Node(f"conv{tag}", OpKind.CONV2D, inputs=["x"], attrs=attrs, params={"weight": w}))
+            g.add(Node(f"flat{tag}", OpKind.FLATTEN, inputs=[f"conv{tag}"]))
+        if output == "add":
+            g.add(Node("sum", OpKind.ADD, inputs=["flatA", "flatB"]))
+            g.outputs = ["sum"]
+        else:
+            g.outputs = ["flatA"]
+        run_shape_inference(g)
+        return g, ps, assignments
+
+    def test_live_view_keeps_its_buffer_out_of_the_pool(self):
+        """convA dies at its FLATTEN while the view lives on; convB (same
+        shape) runs next and must not be handed convA's buffer."""
+        g, ps, assignments = self._twin_conv_graph("add")
+        ex = CompiledExecutor(g, ps, assignments)
+        x = np.random.default_rng(4).standard_normal((2, 3, 6, 6)).astype(np.float32)
+        expected = ReferenceExecutor(g).run(x)
+        for _ in range(3):
+            np.testing.assert_allclose(ex.run(x), expected, rtol=1e-4, atol=1e-4)
+
+    def test_view_output_detached_from_arena(self):
+        """A graph output that is a view of a conv's arena buffer is copied
+        before it escapes, so later runs cannot overwrite it."""
+        g, ps, assignments = self._twin_conv_graph("flat")
+        ex = CompiledExecutor(g, ps, assignments)
+        rng = np.random.default_rng(6)
+        out1 = ex.run(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+        snapshot = out1.copy()
+        for _ in range(3):
+            ex.run(rng.standard_normal((2, 3, 6, 6)).astype(np.float32))
+        np.testing.assert_array_equal(out1, snapshot)
+
     def test_output_detached_from_arena(self):
         """A returned batch must survive subsequent runs unchanged."""
         g, ps, assignments = _stack_graph()

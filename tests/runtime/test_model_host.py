@@ -1,4 +1,7 @@
-"""In-process ModelHost: hot unload gives its compiled kernels back."""
+"""In-process ModelHost: hot unload gives its compiled kernels back, and
+the native-backend gauge reports the kernels actually served."""
+
+import dataclasses
 
 import numpy as np
 
@@ -41,3 +44,19 @@ def test_unload_frees_the_models_kernels(tmp_path):
     finally:
         host.close()
     assert len(host.kernel_cache) == 0
+
+
+def test_native_gauge_reports_the_kernels_served(tmp_path):
+    """worker_kernel_backend_native reports what the worker runs: a
+    model compiled at the numpy 'gemm' level exports 0 even in a process
+    that has the native library, alone or next to a native tenant."""
+    gemm = projected_smallcnn_spec(str(tmp_path / "g.npz"), seed=3, opt_level="gemm")
+    host = ModelHost({"g": gemm})
+    try:
+        assert _gauge(host.snapshot(), "worker_kernel_backend_native") == 0
+        host.load("n", dataclasses.replace(gemm, opt_level="native"))
+        assert _gauge(host.snapshot(), "worker_kernel_backend_native") == 0
+        host.unload("g")
+        assert _gauge(host.snapshot(), "worker_kernel_backend_native") == int(native.loaded())
+    finally:
+        host.close()
