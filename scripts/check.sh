@@ -63,7 +63,7 @@ ignores=()
 for path in "${SERVING_SUITES[@]}" "$CHAOS_SUITE" "$MEMBERSHIP_SUITE" "$MULTITENANT_SUITE"; do
     ignores+=("--ignore=$path")
 done
-python -m pytest -x -q --timeout 300 "${ignores[@]}" "$@"
+python -m pytest -x -q --timeout 300 --durations=10 "${ignores[@]}" "$@"
 
 # Named gate for the serving suites: the in-process micro-batcher +
 # arena, the transport protocol (frame codec edge cases + the credit

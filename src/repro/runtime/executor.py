@@ -175,24 +175,30 @@ class CompiledExecutor(ReferenceExecutor):
         self.arena = arena if arena is not None else BufferArena(max_bytes=arena_max_bytes)
         self._compiled: dict[str, KernelFn] = {}
         self._cache_keys: list[tuple] = []
-        for name, assignment in assignments.items():
-            if name not in graph.nodes:
-                raise KeyError(f"assignment for unknown node {name!r}")
-            node = graph.nodes[name]
-            if node.op != OpKind.CONV2D:
-                raise ValueError(f"{name!r} is not a conv node")
-            weights = node.params["weight"]
-            fkr = filter_kernel_reorder(assignment)
-            fkw = FKWLayer.from_pruned(weights, assignment, pattern_set, fkr)
-            key, self._compiled[name] = self.kernel_cache.acquire(
-                fkw,
-                node.attrs.get("stride", 1),
-                node.attrs.get("padding", 0),
-                opt_level,
-                bias=node.params.get("bias"),
-                activation=node.attrs.get("activation"),
-            )
-            self._cache_keys.append(key)
+        try:
+            for name, assignment in assignments.items():
+                if name not in graph.nodes:
+                    raise KeyError(f"assignment for unknown node {name!r}")
+                node = graph.nodes[name]
+                if node.op != OpKind.CONV2D:
+                    raise ValueError(f"{name!r} is not a conv node")
+                weights = node.params["weight"]
+                fkr = filter_kernel_reorder(assignment)
+                fkw = FKWLayer.from_pruned(weights, assignment, pattern_set, fkr)
+                key, self._compiled[name] = self.kernel_cache.acquire(
+                    fkw,
+                    node.attrs.get("stride", 1),
+                    node.attrs.get("padding", 0),
+                    opt_level,
+                    bias=node.params.get("bias"),
+                    activation=node.attrs.get("activation"),
+                )
+                self._cache_keys.append(key)
+        except BaseException:
+            # A bad node halfway through must not leave the kernels
+            # already taken pinned in a shared cache.
+            self.release_kernels()
+            raise
 
     def run(self, x: np.ndarray) -> np.ndarray:
         return self._execute(x, arena=self.arena)

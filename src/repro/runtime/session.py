@@ -383,18 +383,25 @@ class InferenceSession:
                 f"pattern ids span {lo}..{hi} but this pattern set has only "
                 f"{len(pattern_set)} patterns (ids 1..{len(pattern_set)}, 0 = pruned)"
             )
-        allowed = pattern_set.masks_for(assignment) != 0
-        allowed[assignment == 0] = False  # id 0 wraps in masks_for; means "empty kernel"
-        outside = (weight != 0) & ~allowed
-        if outside.any():
-            f, c = np.argwhere(outside.reshape(*assignment.shape, -1).any(axis=-1))[0]
-            n_bad = int(outside.sum())
-            return (
-                f"{n_bad} nonzero weight entr{'y lies' if n_bad == 1 else 'ies lie'} "
-                f"outside the assigned pattern(s), first at kernel "
-                f"(filter {int(f)}, channel {int(c)})"
-            )
-        return None
+        # One bitmask per kernel (bit i = flat position i, as in
+        # Pattern.bitmask) of its nonzero entries, against the bits its
+        # pattern allows (none for id 0).
+        f, c = assignment.shape
+        nonzero = (weight != 0).reshape(f * c, -1)
+        bits = np.zeros(f * c, dtype=np.int64)
+        for i in range(nonzero.shape[1]):
+            bits |= nonzero[:, i].astype(np.int64) << i
+        allowed = np.array([0] + [p.bitmask for p in pattern_set], dtype=np.int64)
+        outside = bits & ~np.take(allowed, assignment.reshape(-1))
+        if not outside.any():
+            return None
+        first = int(np.flatnonzero(outside)[0])
+        n_bad = int(np.unpackbits(outside.view(np.uint8)).sum())
+        return (
+            f"{n_bad} nonzero weight entr{'y lies' if n_bad == 1 else 'ies lie'} "
+            f"outside the assigned pattern(s), first at kernel "
+            f"(filter {first // c}, channel {first % c})"
+        )
 
     # ------------------------------------------------------------------
     @property

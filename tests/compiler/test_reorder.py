@@ -94,3 +94,75 @@ def test_fkr_permutation_property(seed, f, c):
     fkr = filter_kernel_reorder(a)
     assert sorted(fkr.filter_order.tolist()) == list(range(f))
     assert int(fkr.lengths_after.sum()) == int((a > 0).sum())
+
+
+# ----------------------------------------------------------------------
+# Spec: FKR against a direct transcription of the greedy chain
+# ----------------------------------------------------------------------
+def _signature(a, i):
+    """Filter ``i``'s pattern ids in kernel order (sorted)."""
+    return tuple(sorted(a[i][a[i] != 0].tolist()))
+
+
+def _similarity(s, t):
+    return sum(x == y for x, y in zip(s, t))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    f=st.integers(1, 64),
+    c=st.integers(1, 64),
+    k=st.integers(1, 8),
+    empty_frac=st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    duplicates=st.integers(0, 32),
+    empty_filters=st.integers(0, 8),
+    greedy_limit=st.sampled_from([0, 2, 5, 256]),
+)
+def test_fkr_follows_the_greedy_chain_spec(
+    seed, f, c, k, empty_frac, duplicates, empty_filters, greedy_limit
+):
+    rng = np.random.default_rng(seed)
+    a = rng.integers(1, k + 1, size=(f, c)).astype(np.int32)
+    a[rng.random((f, c)) < empty_frac] = 0
+    a[rng.integers(0, f, duplicates)] = a[rng.integers(0, f, duplicates)]  # identical filters
+    a[rng.integers(0, f, empty_filters)] = 0
+    fkr = filter_kernel_reorder(a, greedy_limit=greedy_limit)
+    sig = [_signature(a, i) for i in range(f)]
+    order = fkr.filter_order.tolist()
+    assert sorted(order) == list(range(f))
+
+    # Length groups partition the order and run in descending length.
+    assert fkr.groups[0][0] == 0 and fkr.groups[-1][1] == f
+    assert all(prev[1] == nxt[0] for prev, nxt in zip(fkr.groups, fkr.groups[1:]))
+    group_lengths = []
+    for start, end in fkr.groups:
+        lengths = {len(sig[i]) for i in order[start:end]}
+        assert len(lengths) == 1
+        group_lengths.extend(lengths)
+    assert group_lengths == sorted(group_lengths, reverse=True)
+    assert len(set(group_lengths)) == len(group_lengths)
+
+    for start, end in fkr.groups:
+        members = order[start:end]
+        if len(members) > greedy_limit:
+            # Lexicographic signature order, equal signatures by index.
+            assert members == sorted(members, key=lambda i: (sig[i], i))
+            continue
+        # Chain starts at the lexicographically first filter; each next
+        # filter is the most similar of the remaining ones to its
+        # predecessor, ties to the lowest original index.
+        assert members[0] == min(members, key=lambda i: (sig[i], i))
+        remaining = set(members[1:])
+        for prev, nxt in zip(members, members[1:]):
+            best = max(remaining, key=lambda j: (_similarity(sig[prev], sig[j]), -j))
+            assert nxt == best
+            remaining.remove(nxt)
+
+    # Kernel orders: int32 (channel, id) rows sorted by (id, channel).
+    for pos, orig in enumerate(order):
+        kernels = fkr.kernel_orders[pos]
+        assert kernels.dtype == np.int32 and kernels.shape == (len(sig[orig]), 2)
+        rows = [(int(pid), int(ch)) for ch, pid in kernels]
+        assert rows == sorted((int(a[orig, ch]), int(ch)) for ch in np.nonzero(a[orig])[0])
+    np.testing.assert_array_equal(fkr.lengths_after, fkr.lengths_before[fkr.filter_order])

@@ -5,6 +5,7 @@ import pytest
 
 from repro import nn
 from repro.autograd import Tensor, no_grad
+from repro.compiler.codegen import KernelCache
 from repro.core.masking import apply_masks, extract_masks
 from repro.core.patterns import PatternSet, enumerate_candidate_patterns
 from repro.graph.builder import build_graph
@@ -85,6 +86,30 @@ class TestCompiledExecutor:
         graph = build_graph(model, (3, 8, 8))
         with pytest.raises(KeyError):
             CompiledExecutor(graph, ps, {"nonexistent": next(iter(assignments.values()))})
+
+    def test_failed_construction_releases_acquired_kernels(self, x8):
+        """A bad node after some kernels were compiled (the worker's
+        hot-load rollback path) must give those kernels back to the
+        shared cache and leave other executors' entries alone."""
+        model, ps, assignments = self._pruned_setup(x8)
+        graph = build_graph(model, (3, 8, 8))
+        default_pipeline().run(graph)
+        conv_nodes = [n.name for n in graph.conv_nodes()]
+        graph_assignments = dict(zip(conv_nodes, assignments.values()))
+        bad = {**graph_assignments, "nonexistent": next(iter(assignments.values()))}
+        cache = KernelCache()
+        with pytest.raises(KeyError, match="nonexistent"):
+            CompiledExecutor(graph, ps, bad, kernel_cache=cache)
+        assert len(cache) == 0
+
+        survivor = CompiledExecutor(graph, ps, graph_assignments, kernel_cache=cache)
+        assert len(cache) == len(conv_nodes)
+        with pytest.raises(KeyError, match="nonexistent"):
+            CompiledExecutor(graph, ps, bad, kernel_cache=cache)
+        assert len(cache) == len(conv_nodes)
+        survivor.release_kernels()
+        assert len(cache) == 0
+        np.testing.assert_allclose(survivor.run(x8), _model_outputs(model, x8), rtol=1e-3, atol=1e-3)
 
 
 class TestInferenceSession:
@@ -247,3 +272,85 @@ class TestAssignmentMapping:
         dense = build_small_cnn(channels=(8, 16), in_size=8, seed=123)  # unpruned
         with pytest.raises(ValueError, match="contradict"):
             InferenceSession(dense, (3, 8, 8), pattern_set=ps, assignments=assignments)
+
+
+def _reference_mismatch(weight, assignment, pattern_set):
+    """The sparsity check spelled out on dense boolean masks."""
+    lo, hi = int(assignment.min()), int(assignment.max())
+    if lo < 0 or hi > len(pattern_set):
+        return (
+            f"pattern ids span {lo}..{hi} but this pattern set has only "
+            f"{len(pattern_set)} patterns (ids 1..{len(pattern_set)}, 0 = pruned)"
+        )
+    allowed = pattern_set.masks_for(assignment) != 0
+    allowed[assignment == 0] = False
+    outside = (weight != 0) & ~allowed
+    if not outside.any():
+        return None
+    f, c = np.argwhere(outside.reshape(*assignment.shape, -1).any(axis=-1))[0]
+    n_bad = int(outside.sum())
+    return (
+        f"{n_bad} nonzero weight entr{'y lies' if n_bad == 1 else 'ies lie'} "
+        f"outside the assigned pattern(s), first at kernel "
+        f"(filter {int(f)}, channel {int(c)})"
+    )
+
+
+class TestSparsityMismatch:
+    """InferenceSession._sparsity_mismatch: verdict and message (count,
+    first kernel) exactly as the dense-mask definition gives them."""
+
+    check = staticmethod(InferenceSession._sparsity_mismatch)
+
+    def _layers(self):
+        model, ps, assignments = TestAssignmentMapping()._artifacts(channels=(8, 16, 16))
+        return model, ps, assignments
+
+    def _pruned_weights(self, model):
+        return [m.weight.data for m in model.modules() if isinstance(m, nn.Conv2d)]
+
+    def test_consistent_layers_pass(self):
+        model, ps, assignments = self._layers()
+        for w, a in zip(self._pruned_weights(model), assignments.values()):
+            assert self.check(w, a, ps) is None
+            assert _reference_mismatch(w, a, ps) is None
+
+    def test_bn_folded_layers_pass(self):
+        model, ps, assignments = self._layers()
+        model.eval()
+        graph = build_graph(model, (3, 8, 8))
+        default_pipeline().run(graph)
+        folded = [n.params["weight"] for n in graph.conv_nodes()]
+        assert any(
+            not np.array_equal(w, m) for w, m in zip(folded, self._pruned_weights(model))
+        ), "BN folding should have rescaled the conv weights"
+        for w, a in zip(folded, assignments.values()):
+            assert self.check(w, a, ps) is None
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("where", ["empty_kernel", "outside_pattern", "mixed"])
+    def test_violations_match_the_definition(self, seed, where):
+        model, ps, assignments = self._layers()
+        rng = make_rng(seed)
+        for w, a in zip(self._pruned_weights(model), assignments.values()):
+            w = w.copy()
+            allowed = ps.masks_for(a) != 0
+            allowed[a == 0] = False
+            empty = (a == 0)[:, :, None, None] & ~allowed
+            free = ~allowed & ~empty
+            pool = {"empty_kernel": empty, "outside_pattern": free, "mixed": ~allowed}[where]
+            spots = np.argwhere(pool)
+            picks = spots[rng.choice(len(spots), size=int(rng.integers(1, 6)), replace=False)]
+            w[tuple(picks.T)] = rng.choice([-0.5, 1e-30, 3.0], size=len(picks))
+            got = self.check(w, a, ps)
+            assert got is not None
+            assert got == _reference_mismatch(w, a, ps)
+
+    @pytest.mark.parametrize("ids", [-1, 9, 13])
+    def test_out_of_range_ids_match_the_definition(self, ids):
+        model, ps, assignments = self._layers()
+        w, a = self._pruned_weights(model)[0], next(iter(assignments.values())).copy()
+        a[0, 0] = ids
+        got = self.check(w, a, ps)
+        assert got is not None and "pattern ids span" in got
+        assert got == _reference_mismatch(w, a, ps)
