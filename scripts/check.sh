@@ -20,6 +20,12 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
+# A check run must leave the working tree as it found it: build outputs
+# belong in ~/.cache or temp dirs, run outputs in ignored paths.  The
+# porcelain status is recorded here and compared at the end.
+tree_status() { git status --porcelain 2>/dev/null || true; }
+status_before="$(tree_status)"
+
 # The serving, chaos, membership and multi-tenant suites are part of
 # tier-1 (bare `pytest` collects them) but run here under their own
 # named headers, so the general tier-1 run below skips exactly those
@@ -120,5 +126,13 @@ python3 bench/run.py --smoke
 echo "== benchmarks (benchmark-disabled fast pass) =="
 python -m pytest benchmarks/ -q --benchmark-disable --timeout 600 \
                  -o python_files='bench_*.py test_*.py'
+
+echo "== working tree unchanged by the run =="
+status_after="$(tree_status)"
+if [[ "$status_after" != "$status_before" ]]; then
+    echo "the check run changed git status --porcelain:" >&2
+    diff <(printf '%s\n' "$status_before") <(printf '%s\n' "$status_after") >&2 || true
+    exit 1
+fi
 
 echo "== check.sh OK =="

@@ -107,12 +107,7 @@ from repro.runtime.transport import (
     WorkerTransport,
 )
 from repro.runtime.transport_shm import ShmShardLauncher
-from repro.runtime.transport_tcp import (
-    LocalTcpLauncher,
-    RemoteTcpLauncher,
-    parse_hostport,
-    worker_serve,
-)
+from repro.runtime.transport_tcp import TcpShardLauncher, parse_hostport, worker_serve
 from repro.runtime.cluster import ShardedServer, ShardCrashedError
 from repro.runtime.membership import ShardFileWatcher, parse_shard_file
 
@@ -161,8 +156,7 @@ __all__ = [
     "ShardLauncher",
     "CreditGate",
     "ShmShardLauncher",
-    "LocalTcpLauncher",
-    "RemoteTcpLauncher",
+    "TcpShardLauncher",
     "parse_hostport",
     "worker_serve",
 ]

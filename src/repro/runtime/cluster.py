@@ -113,7 +113,7 @@ Usage::
         server.load_model("medium", spec_c)     # hot load, all live shards
         server.unload_model("large")            # drained removal
 
-Local workers are spawned (not forked) by default: a forked child would
+Local workers are always spawned, never forked: a forked child would
 inherit arbitrary lock/thread state from a serving process mid-flight,
 and the spec is picklable precisely so spawn works.
 """
@@ -125,7 +125,6 @@ import threading
 import time
 from concurrent.futures import Future
 from math import prod
-from multiprocessing import get_context
 
 import numpy as np
 
@@ -152,12 +151,11 @@ from repro.runtime.telemetry import (
 from repro.runtime.transport import (
     MAX_MODEL_ID_BYTES,
     ShardEndpoint,
-    ShardLauncher,
     TransportClosedError,
-    pack_bundle_payload,
+    bundle_payload,
 )
 from repro.runtime.transport_shm import ShmShardLauncher
-from repro.runtime.transport_tcp import LocalTcpLauncher, RemoteTcpLauncher, parse_hostport
+from repro.runtime.transport_tcp import TcpShardLauncher, parse_hostport
 
 __all__ = ["ShardedServer", "ShardCrashedError", "projected_smallcnn_spec"]
 
@@ -356,8 +354,6 @@ class ShardedServer:
         faults: deterministic chaos plan
             (:class:`~repro.runtime.faults.FaultPlan`); ``None`` in
             production — every hook is a no-op.
-        mp_start: multiprocessing start method for local workers
-            (``spawn`` default; see module docstring).
         worker_env: extra environment for local workers (e.g. pin BLAS
             threads with ``{"OPENBLAS_NUM_THREADS": "1"}`` so shards
             don't fight over cores); applied around spawn, parent env
@@ -385,7 +381,6 @@ class ShardedServer:
         health_interval_s: float = 0.5,
         resilience: ResilienceConfig | None = None,
         faults: FaultPlan | None = None,
-        mp_start: str = "spawn",
         worker_env: dict[str, str] | None = None,
         telemetry: TelemetryConfig | None = None,
     ) -> None:
@@ -420,28 +415,34 @@ class ShardedServer:
         self.specs: dict[str, SessionSpec] = dict(specs)
         self.num_shards = num_shards
         self.transport = transport
+        #: the founding worker addresses (None: local workers)
         self.shard_addresses = list(shards) if shards else None
         self.slots_per_shard = slots_per_shard
         self.max_request_samples = max_request_samples
         self.health_interval_s = health_interval_s
         self.resilience = resilience if resilience is not None else ResilienceConfig()
-        self._fault_plan = faults
         self._injector = FaultInjector(faults) if faults is not None else None
-        self._worker_env = dict(worker_env) if worker_env else None
-        self._ctx = get_context(mp_start)
         # transport slots are sized once, for the largest model in the
         # founding registry; load_model() re-checks the fit because live
         # rings/credits cannot be regrown
         self._slot_bytes = max(
             self._spec_slot_bytes(entry) for entry in self.specs.values()
         )
-        self._launcher = self._make_launcher()
-        #: per-index launcher overrides: a shard added with an explicit
-        #: address on a cluster whose own launcher is local launches
-        #: (and respawns/reconnects) through the shared address-routed
-        #: TCP launcher instead
-        self._index_launcher: dict[int, ShardLauncher] = {}
-        self._addressed_launcher: RemoteTcpLauncher | None = None
+        launcher_args = dict(
+            slots_per_shard=slots_per_shard, slot_bytes=self._slot_bytes,
+            fault_plan=faults, worker_env=dict(worker_env) if worker_env else None,
+        )
+        self._tcp_launcher = TcpShardLauncher(self.specs, **launcher_args)
+        self._launcher = (
+            self._tcp_launcher if transport == "tcp"
+            else ShmShardLauncher(self.specs, **launcher_args)
+        )
+        #: the address map: shard index -> "host:port" of an externally
+        #: started worker, reached (and, after a crash, reconnected) over
+        #: TCP.  An index without an entry is a local worker spawned by
+        #: the cluster's own launcher.  Entries come from ``shards=`` and
+        #: ``add_shard(address)``, and leave with their shard.
+        self._addresses: dict[int, str] = dict(enumerate(shards or ()))
         self._lock = threading.Lock()  # membership map mutation + down transitions
         self._closed = False
         self._req_ids = itertools.count()
@@ -522,33 +523,6 @@ class ShardedServer:
             except BaseException:
                 self.close()
                 raise
-
-    def _make_launcher(self) -> ShardLauncher:
-        if self.shard_addresses is not None:
-            return RemoteTcpLauncher(
-                self.specs,
-                self.shard_addresses,
-                slots_per_shard=self.slots_per_shard,
-                slot_bytes=self._slot_bytes,
-                fault_plan=self._fault_plan,
-            )
-        if self.transport == "tcp":
-            return LocalTcpLauncher(
-                self.specs,
-                slots_per_shard=self.slots_per_shard,
-                slot_bytes=self._slot_bytes,
-                ctx=self._ctx,
-                fault_plan=self._fault_plan,
-                worker_env=self._worker_env,
-            )
-        return ShmShardLauncher(
-            self.specs,
-            slots_per_shard=self.slots_per_shard,
-            slot_bytes=self._slot_bytes,
-            ctx=self._ctx,
-            fault_plan=self._fault_plan,
-            worker_env=self._worker_env,
-        )
 
     @property
     def spec(self) -> SessionSpec:
@@ -662,8 +636,11 @@ class ShardedServer:
     # Spawning / crash handling
     # ------------------------------------------------------------------
     def _spawn_shard(self, index: int) -> _Shard:
-        launcher = self._index_launcher.get(index, self._launcher)
-        endpoint = launcher.launch(index)
+        address = self._addresses.get(index)
+        endpoint = (
+            self._launcher.launch(index) if address is None
+            else self._tcp_launcher.launch(index, address)
+        )
         events = self._telemetry.events
         breaker = CircuitBreaker(
             self.resilience.breaker_threshold,
@@ -936,33 +913,6 @@ class ShardedServer:
     # ------------------------------------------------------------------
     # Elastic membership
     # ------------------------------------------------------------------
-    def _launcher_for(self, index: int, address: str | None) -> ShardLauncher:
-        """Pick (and record) the launcher a new shard index launches
-        through — the cluster's own launcher for local adds, the shared
-        address-routed TCP launcher for ``host:port`` adds.  Called
-        under ``self._lock``."""
-        if address is None:
-            if isinstance(self._launcher, RemoteTcpLauncher):
-                raise ValueError(
-                    "this cluster routes to remote workers by address; "
-                    "add_shard() needs an explicit 'host:port'"
-                )
-            return self._launcher
-        if isinstance(self._launcher, RemoteTcpLauncher):
-            self._launcher.assign(index, address)
-            return self._launcher
-        if self._addressed_launcher is None:
-            self._addressed_launcher = RemoteTcpLauncher(
-                self.specs,
-                [],
-                slots_per_shard=self.slots_per_shard,
-                slot_bytes=self._slot_bytes,
-                fault_plan=self._fault_plan,
-            )
-        self._addressed_launcher.assign(index, address)
-        self._index_launcher[index] = self._addressed_launcher
-        return self._addressed_launcher
-
     def add_shard(self, address: str | None = None) -> int:
         """Join one new shard to the live cluster; returns its index.
 
@@ -977,22 +927,32 @@ class ShardedServer:
         chaos injection apply to it exactly as to founding shards.
 
         Raises :class:`ShardCrashedError` if the worker dies between
-        launch and install (e.g. its bundle is unreadable there) —
-        a shard that never served is not left behind as a dead member.
+        launch and install (e.g. its bundle is unreadable there), and
+        ``RuntimeError`` if the address stays unreachable through the
+        connect retries — either way the index is spent and no member
+        or address is left behind.  A cluster built with ``shards=``
+        has no local launcher: ``add_shard()`` without an address
+        raises ``ValueError`` there.
         """
         if address is not None:
             parse_hostport(address)  # validate before reserving an index
+        elif self.shard_addresses is not None:
+            raise ValueError(
+                "this cluster routes to remote workers by address; "
+                "add_shard() needs an explicit 'host:port'"
+            )
         with self._lock:
             if self._closed:
                 raise RuntimeError("ShardedServer is closed")
             index = self._next_index
             self._next_index += 1
-            self._launcher_for(index, address)
+            if address is not None:
+                self._addresses[index] = address
         try:
             shard = self._spawn_shard(index)
         except BaseException:
             with self._lock:
-                self._index_launcher.pop(index, None)
+                self._addresses.pop(index, None)
             raise
         with self._lock:
             # a worker that died between launch and install never joins:
@@ -1011,7 +971,7 @@ class ShardedServer:
                 shard.endpoint.join(timeout=5.0)
                 self._retire_endpoint(shard.endpoint)
             with self._lock:
-                self._index_launcher.pop(index, None)
+                self._addresses.pop(index, None)
             if self._closed:
                 raise RuntimeError("ShardedServer is closed")
             raise ShardCrashedError(
@@ -1102,7 +1062,7 @@ class ShardedServer:
                         rehome_allowed=True, cause="shard_removed",
                     )
                 try:
-                    shard.endpoint.send_stop()  # graceful: worker drains + exits
+                    shard.endpoint.send(("stop",))  # graceful: worker drains + exits
                 except (TransportClosedError, BrokenPipeError, OSError):
                     pass
                 shard.endpoint.join(timeout=5.0)
@@ -1116,7 +1076,7 @@ class ShardedServer:
             generation = self._generation
             if self._shard_map.get(index) is shard:
                 del self._shard_map[index]
-                self._index_launcher.pop(index, None)
+                self._addresses.pop(index, None)
                 self._generation += 1
                 generation = self._generation
                 self.num_shards = len(self._shard_map)
@@ -1204,18 +1164,11 @@ class ShardedServer:
                 if not s.down and not s.permanent and not s.removing
             ]
         self._model_entry(name)
-        payload = None
-        if any(s.process is None for s in shards):  # remote workers: ship bytes
-            try:
-                with open(spec.bundle_path, "rb") as fh:
-                    payload = pack_bundle_payload(fh.read())
-            except OSError:
-                payload = None  # worker falls back to the spec's own path
         sent: list[_Shard] = []
         for shard in shards:
-            msg = ("load", name, spec, payload if shard.process is None else None)
+            msg = ("load", name, spec, bundle_payload(spec, shard.process))
             try:
-                shard.endpoint.send_control(msg)
+                shard.endpoint.send(msg)
                 sent.append(shard)
             except (TransportClosedError, BrokenPipeError, OSError):
                 pass  # dying shard: its respawn builds from the updated registry
@@ -1232,7 +1185,7 @@ class ShardedServer:
             for shard in sent:
                 if shard.index not in failures and not shard.down:
                     try:
-                        shard.endpoint.send_control(("unload", name))
+                        shard.endpoint.send(("unload", name))
                     except (TransportClosedError, BrokenPipeError, OSError):
                         pass
             raise RuntimeError(
@@ -1302,7 +1255,7 @@ class ShardedServer:
             if shard.down:
                 continue
             try:
-                shard.endpoint.send_control(("unload", name))
+                shard.endpoint.send(("unload", name))
                 sent.append(shard)
             except (TransportClosedError, BrokenPipeError, OSError):
                 pass
@@ -1361,7 +1314,7 @@ class ShardedServer:
                     self._handle_shard_down(shard, "worker died")
                     continue
                 try:
-                    shard.endpoint.send_ping(next(self._ping_seq))
+                    shard.endpoint.send(("ping", next(self._ping_seq)))
                 except (TransportClosedError, BrokenPipeError, OSError):
                     self._handle_shard_down(shard, "health ping failed")
                     continue
@@ -1793,7 +1746,7 @@ class ShardedServer:
             **totals,
             **resilience_counters,
             "generation": generation,
-            "transport": self._launcher.kind,
+            "transport": self.transport,
             "alive_shards": sum(1 for e in shards if e["alive"]),
             "worker_batches": batches,
             "worker_samples": samples,
@@ -1909,7 +1862,7 @@ class ShardedServer:
             if shard.down:
                 continue
             try:
-                shard.endpoint.send_stop()
+                shard.endpoint.send(("stop",))
             except (TransportClosedError, BrokenPipeError, OSError):
                 pass
         for shard in shards:
@@ -1939,9 +1892,6 @@ class ShardedServer:
         for endpoint in self._retired_endpoints:
             endpoint.dispose()
         self._retired_endpoints.clear()
-        self._launcher.close()
-        if self._addressed_launcher is not None:
-            self._addressed_launcher.close()
         self._telemetry.close()
 
     def __enter__(self) -> "ShardedServer":

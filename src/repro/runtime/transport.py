@@ -1,37 +1,61 @@
 """Abstract shard transport: the protocol the cluster router speaks.
 
-PR 3 wired :class:`~repro.runtime.cluster.ShardedServer` directly to
-``ShmSlotRing`` + ``multiprocessing.Pipe``; that made the cluster
-single-host by construction.  This module is the seam that undoes it:
-the router, resilience, and fault-injection layers now talk to three
-small abstractions, and *where a shard process lives* becomes a detail
-of which implementation is plugged in —
+The router, resilience, and fault-injection layers talk to three small
+abstractions, and *where a shard process lives* is a detail of which
+implementation is plugged in —
 
 * :class:`ShardEndpoint` — the router's handle to one shard: acquire /
   release backpressure tokens, send framed tensor requests (req_id +
-  deadline + CRC), send pings/stop, receive **normalized events**, and
-  answer lifecycle questions (alive? pid? kill, join, dispose).
-* :class:`WorkerTransport` — the worker-side mirror: receive requests /
-  pings / stop, read (checksum-verified) payloads, send results,
-  errors, and control messages back.
+  deadline + CRC) and control messages, receive **normalized events**,
+  and answer lifecycle questions (alive? pid? kill, join, dispose).
+* :class:`WorkerTransport` — the worker-side mirror: receive requests
+  and control messages, read (checksum-verified) payloads, send
+  results, errors, and control messages back.
 * :class:`ShardLauncher` — the factory that brings a shard incarnation
-  into existence (spawn a local process, or connect to a remote one)
-  and hands back its endpoint.  Respawn-after-crash is just
+  into existence (spawn a local process, or connect to a worker at an
+  address) and hands back its endpoint.  Respawn-after-crash is just
   ``launch(index)`` again.
 
 Implementations: :mod:`repro.runtime.transport_shm` (shared-memory slot
-rings + pipes — today's single-host behaviour, preserved bitwise) and
-:mod:`repro.runtime.transport_tcp` (length-prefixed numpy frames over
-sockets — shards on other machines).
+rings + pipes, single host) and :mod:`repro.runtime.transport_tcp`
+(length-prefixed numpy frames over sockets — shards on any host).
 
-Normalized router-side events (returned by :meth:`ShardEndpoint.recv`;
-payload reading and token release happen *inside* the endpoint):
+**The message vocabulary** — the one table of it; every transport
+carries exactly these tuples.  Tensor requests and replies go through
+the dedicated calls (``send_request`` / ``send_result`` /
+``send_error``), whose payload bytes and backpressure tokens the
+transport handles *inside* the endpoint; everything else is one
+``send(msg)`` call.
+
+Router -> worker (``ShardEndpoint.send_request`` / ``send``; yielded by
+``WorkerTransport.recv``):
+
+========================================  =====================================
+``("req", req_id, deadline_at, trace_id,  one request (``send_request``):
+model, handle)``                          ``deadline_at`` re-anchored to the
+                                          worker's monotonic clock (None = no
+                                          deadline), ``trace_id`` 0 = untraced,
+                                          ``model`` "" = the sole model;
+                                          ``handle`` is opaque, passed back to
+                                          ``read_payload`` / the reply
+``("ping", seq)``                         health probe, answered by ``pong``
+``("stop",)``                             drain the queues and exit (``bye``)
+``("load", name, spec, payload)``         hot-load a model; ``payload`` is the
+                                          CRC-framed bundle
+                                          (:func:`bundle_payload`) or None
+``("unload", name)``                      drain and drop a model
+========================================  =====================================
+
+Worker -> router (``WorkerTransport.send_result`` / ``send_error`` /
+``send``; returned by ``ShardEndpoint.recv``):
 
 ========================================  =====================================
 ``("ready", pid)``                        worker built its session(s)
-``("res", req_id, out, exc)``             reply: ``out`` ndarray, or ``exc``
+``("res", req_id, out, exc)``             reply (``send_result``): ``out``
+                                          ndarray, or ``exc``
                                           (``CorruptedPayloadError`` etc.)
-``("err", req_id, code, text)``           worker-side typed failure; ``code in
+``("err", req_id, code, text)``           worker-side typed failure
+                                          (``send_error``); ``code in
                                           {"deadline","corrupt","unknown_model",
                                           "error"}``
 ``("pong", seq, stats)``                  health reply + serving-stats snapshot
@@ -39,8 +63,7 @@ payload reading and token release happen *inside* the endpoint):
 ``("fatal", text)``                       session build failed (permanent)
 ``("trace", req_id, spans)``              worker-side span timeline for a
                                           sampled (traced) request
-``("model", op, name, detail)``           ack for a hot model ``("load"`` /
-                                          ``"unload")`` control message;
+``("model", op, name, detail)``           ack for a ``load`` / ``unload``;
                                           ``detail`` is an error string or None
 ========================================  =====================================
 
@@ -95,6 +118,7 @@ __all__ = [
     "tensor_frame_req_id",
     "tensor_frame_meta",
     "pack_bundle_payload",
+    "bundle_payload",
     "verify_bundle_payload",
     "materialize_bundle",
 ]
@@ -301,6 +325,25 @@ def pack_bundle_payload(data: bytes) -> tuple[int, int, bytes]:
     return zlib.crc32(data), len(data), data
 
 
+def bundle_payload(spec, process) -> tuple[int, int, bytes] | None:
+    """What ships ``spec``'s session bundle to a shard's worker, in a
+    handshake or a hot ``("load", ...)`` message: ``None`` when the
+    shard has a local ``process`` (it shares this filesystem and reads
+    ``spec.bundle_path`` itself), else the bundle's bytes CRC-framed.
+
+    The file is read at every call, never cached: a bundle rewritten at
+    the same path ships its new bytes on the next (re)connect.  An
+    unreadable file also yields ``None`` — the worker then tries the
+    spec's own path and reports a build failure as ``fatal``."""
+    if process is not None:
+        return None
+    try:
+        with open(spec.bundle_path, "rb") as fh:
+            return pack_bundle_payload(fh.read())
+    except OSError:
+        return None
+
+
 def verify_bundle_payload(name: str, payload: tuple) -> bytes:
     """Check a shipped bundle's size and CRC; returns the verified bytes.
 
@@ -413,19 +456,30 @@ class ShardEndpoint(ABC):
     peer is gone; the router maps that to its crash-handling path.
     ``recv`` reads payloads and releases backpressure tokens internally,
     so the router only ever sees the normalized events documented in the
-    module docstring.
+    module docstring.  Backpressure is the same for every transport: a
+    :class:`CreditGate` of ``credits`` tokens, one per outstanding
+    request.
     """
 
+    def __init__(self, credits: int) -> None:
+        self._gate = CreditGate(credits)
+
     # -- backpressure ---------------------------------------------------
-    @abstractmethod
     def acquire(self, timeout: float | None = None) -> int | None:
         """Reserve capacity for one request: a slot index / credit token,
         or ``None`` when the shard is full past ``timeout``."""
+        try:
+            return self._gate.acquire(timeout=timeout)
+        except RuntimeError as exc:  # gate closed: shard died while we waited
+            raise TransportClosedError(str(exc)) from exc
 
-    @abstractmethod
     def release(self, token: int) -> None:
-        """Return capacity reserved by :meth:`acquire` but never sent
-        (a dispatch that aborted).  Sent requests release via recv."""
+        """Return capacity: a token reserved by :meth:`acquire` but never
+        sent (a dispatch that aborted), or one whose reply arrived."""
+        try:
+            self._gate.release(token)
+        except ValueError:
+            pass  # already back (endpoint torn down under us)
 
     # -- sending --------------------------------------------------------
     @abstractmethod
@@ -447,15 +501,9 @@ class ShardEndpoint(ABC):
         worker should dispatch into ("" = the single default model)."""
 
     @abstractmethod
-    def send_ping(self, seq: int) -> None: ...
-
-    @abstractmethod
-    def send_stop(self) -> None: ...
-
-    def send_control(self, msg: tuple) -> None:
-        """Ship an out-of-band control tuple to the worker (hot model
-        ``("load", name, spec, payload)`` / ``("unload", name)``).
-        Transports without a control channel may ignore it."""
+    def send(self, msg: tuple) -> None:
+        """Send one router -> worker control message (``ping``, ``stop``,
+        ``load``, ``unload``; see the module docstring)."""
 
     # -- receiving ------------------------------------------------------
     @abstractmethod
@@ -498,14 +546,10 @@ class WorkerTransport(ABC):
     """Worker-side mirror of :class:`ShardEndpoint`, consumed by
     :func:`repro.runtime.worker.run_worker`.
 
-    ``recv`` yields ``("req", req_id, deadline_at, trace_id, model,
-    handle)`` (with ``deadline_at`` already re-anchored to the *worker's*
-    monotonic clock, ``trace_id == 0`` for untraced requests, and
-    ``model`` naming the tenant queue, ``""`` = default), ``("ping",
-    seq)``, ``("stop",)``, or a hot-model control message ``("load",
-    name, spec, payload)`` / ``("unload", name)``; the opaque ``handle``
-    carries whatever the transport needs to read the payload and route
-    the reply (an shm slot, a decoded TCP frame).
+    ``recv`` yields the router -> worker messages of the module
+    docstring; a request's opaque ``handle`` carries whatever the
+    transport needs to read the payload and route the reply (an shm
+    slot, a decoded TCP frame).
     """
 
     #: largest reply payload the transport can carry (bytes), or None
@@ -531,30 +575,14 @@ class WorkerTransport(ABC):
 
     @abstractmethod
     def send_error(self, req_id: int, handle, code: str, text: str) -> None:
-        """Send a typed failure (``code in {"deadline","corrupt","error"}``)."""
-
-    def send_trace(self, req_id: int, spans: list[dict]) -> None:
-        """Ship a traced request's worker-side span timeline back to the
-        router (after the reply for ``req_id``, same ordered channel).
-        Default: drop — a transport without a control channel loses
-        spans, never requests."""
-
-    def send_model_ack(self, op: str, name: str, detail: str | None) -> None:
-        """Acknowledge a hot model load/unload (``op``) for ``name``;
-        ``detail`` carries the error text on failure, ``None`` on
-        success.  Default: drop, mirroring :meth:`send_trace`."""
+        """Send a typed failure (``code in {"deadline","corrupt",
+        "unknown_model","error"}``)."""
 
     @abstractmethod
-    def send_ready(self, pid: int) -> None: ...
-
-    @abstractmethod
-    def send_pong(self, seq: int, stats: dict | None) -> None: ...
-
-    @abstractmethod
-    def send_bye(self, stats: dict | None) -> None: ...
-
-    @abstractmethod
-    def send_fatal(self, text: str) -> None: ...
+    def send(self, msg: tuple) -> None:
+        """Send one worker -> router control message (``ready``,
+        ``pong``, ``bye``, ``fatal``, ``trace``, ``model``; see the
+        module docstring)."""
 
     @abstractmethod
     def close(self) -> None: ...
@@ -565,11 +593,5 @@ class ShardLauncher(ABC):
     connects to) the worker for shard ``index`` and returns its
     endpoint; the router calls it again to respawn after a crash."""
 
-    #: short transport name surfaced in ``cluster_stats`` ("shm", "tcp")
-    kind: str = "?"
-
     @abstractmethod
     def launch(self, index: int) -> ShardEndpoint: ...
-
-    def close(self) -> None:
-        """Release launcher-held resources (none by default)."""

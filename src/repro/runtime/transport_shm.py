@@ -1,21 +1,13 @@
 """Shared-memory shard transport: slot rings + control pipes.
 
-This is PR 3's single-host transport, repackaged behind the
-:mod:`repro.runtime.transport` protocol with its wire behaviour
-**preserved bitwise**: request/response tensors still move through
-per-worker :class:`~repro.runtime.shm_ring.ShmSlotRing` slots (one slot
-carries the request in *and* the response out; the slot count is the
-per-shard backpressure bound), and only the same tiny control tuples
-cross the ``multiprocessing.Pipe``:
-
-    router -> worker: ``("req", req_id, slot, shape, dtype, crc, deadline_at,
-                      trace_id, model)``, ``("ping", seq)``, ``("stop",)``,
-                      ``("load", name, spec, payload)``, ``("unload", name)``
-    worker -> router: ``("ready", pid)``, ``("res", req_id, slot, shape, dtype, crc)``,
-                      ``("err", req_id, slot, code, text)``,
-                      ``("trace", req_id, spans)``,
-                      ``("model", op, name, detail)``,
-                      ``("pong", seq, stats)``, ``("bye", stats)``, ``("fatal", text)``
+Request/response tensors move through per-worker
+:class:`~repro.runtime.shm_ring.ShmSlotRing` slots (one slot carries the
+request in *and* the response out; the slot count is the per-shard
+backpressure bound), and only small tuples cross the
+``multiprocessing.Pipe``: the message vocabulary of
+:mod:`repro.runtime.transport` (its module docstring is the table),
+with ``req`` / ``res`` / ``err`` carrying the slot index and the
+payload's shape, dtype and CRC in place of the tensor bytes.
 
 Deadlines cross the boundary as absolute ``time.monotonic`` values,
 which is valid precisely because this transport never leaves the host
@@ -27,6 +19,7 @@ from __future__ import annotations
 
 import os
 import threading
+from multiprocessing import get_context
 
 import numpy as np
 
@@ -35,7 +28,6 @@ from repro.runtime.resilience import CorruptedPayloadError
 from repro.runtime.session import SessionSpec
 from repro.runtime.shm_ring import ShmSlotRing
 from repro.runtime.transport import (
-    CreditGate,
     ShardEndpoint,
     ShardLauncher,
     TransportClosedError,
@@ -43,6 +35,11 @@ from repro.runtime.transport import (
 )
 
 __all__ = ["ShmShardEndpoint", "ShmWorkerTransport", "ShmShardLauncher", "spawn_with_env"]
+
+#: local workers are spawned, never forked: a forked child would inherit
+#: arbitrary lock/thread state from a serving process mid-flight, and
+#: every spec is picklable precisely so spawn works
+MP_CONTEXT = get_context("spawn")
 
 
 def spawn_with_env(process, worker_env: dict[str, str] | None) -> None:
@@ -77,7 +74,7 @@ class ShmWorkerTransport(WorkerTransport):
         self._send_lock = threading.Lock()
         self.payload_capacity = ring.slot_bytes
 
-    def _send(self, msg) -> None:
+    def send(self, msg: tuple) -> None:
         with self._send_lock:
             try:
                 self._conn.send(msg)
@@ -107,28 +104,10 @@ class ShmWorkerTransport(WorkerTransport):
             # injected fault: clobber the payload *after* the checksum was
             # computed — the router's verification must catch it
             self._ring.corrupt(slot)
-        self._send(("res", req_id, slot, shape, dtype, crc))
+        self.send(("res", req_id, slot, shape, dtype, crc))
 
     def send_error(self, req_id: int, handle, code: str, text: str) -> None:
-        self._send(("err", req_id, handle[0], code, text))
-
-    def send_trace(self, req_id: int, spans: list[dict]) -> None:
-        self._send(("trace", req_id, spans))
-
-    def send_model_ack(self, op: str, name: str, detail: str | None) -> None:
-        self._send(("model", op, name, detail))
-
-    def send_ready(self, pid: int) -> None:
-        self._send(("ready", pid))
-
-    def send_pong(self, seq: int, stats: dict | None) -> None:
-        self._send(("pong", seq, stats))
-
-    def send_bye(self, stats: dict | None) -> None:
-        self._send(("bye", stats))
-
-    def send_fatal(self, text: str) -> None:
-        self._send(("fatal", text))
+        self.send(("err", req_id, handle[0], code, text))
 
     def close(self) -> None:
         try:
@@ -165,24 +144,11 @@ class ShmShardEndpoint(ShardEndpoint):
     normalizes pipe tuples into protocol events."""
 
     def __init__(self, process, conn, ring: ShmSlotRing) -> None:
+        super().__init__(ring.slots)
         self.process = process
         self._conn = conn
         self._ring = ring
-        self._gate = CreditGate(ring.slots)
         self._send_lock = threading.Lock()
-
-    # -- backpressure ---------------------------------------------------
-    def acquire(self, timeout: float | None = None) -> int | None:
-        try:
-            return self._gate.acquire(timeout=timeout)
-        except RuntimeError as exc:  # gate closed: shard died while we waited
-            raise TransportClosedError(str(exc)) from exc
-
-    def release(self, token: int) -> None:
-        try:
-            self._gate.release(token)
-        except ValueError:
-            pass  # already back (endpoint torn down under us)
 
     # -- sending --------------------------------------------------------
     def send_request(
@@ -195,18 +161,9 @@ class ShmShardEndpoint(ShardEndpoint):
         model: str = "",
     ) -> None:
         shape, dtype, crc = self._ring.write(token, x)
-        self._send(("req", req_id, token, shape, dtype, crc, deadline_at, trace_id, model))
+        self.send(("req", req_id, token, shape, dtype, crc, deadline_at, trace_id, model))
 
-    def send_ping(self, seq: int) -> None:
-        self._send(("ping", seq))
-
-    def send_stop(self) -> None:
-        self._send(("stop",))
-
-    def send_control(self, msg: tuple) -> None:
-        self._send(msg)
-
-    def _send(self, msg) -> None:
+    def send(self, msg: tuple) -> None:
         with self._send_lock:
             try:
                 self._conn.send(msg)
@@ -235,7 +192,7 @@ class ShmShardEndpoint(ShardEndpoint):
             _, req_id, slot, code, text = msg
             self.release(slot)
             return ("err", req_id, code, text)
-        return msg  # ready / pong / bye / fatal
+        return msg  # ready / pong / bye / fatal / trace / model
 
     # -- lifecycle ------------------------------------------------------
     @property
@@ -285,29 +242,25 @@ class ShmShardLauncher(ShardLauncher):
     current model set.
     """
 
-    kind = "shm"
-
     def __init__(
         self,
         specs: dict[str, SessionSpec],
         *,
         slots_per_shard: int,
         slot_bytes: int,
-        ctx,
         fault_plan: FaultPlan | None = None,
         worker_env: dict[str, str] | None = None,
     ) -> None:
         self.specs = specs
         self.slots_per_shard = slots_per_shard
         self.slot_bytes = slot_bytes
-        self._ctx = ctx
         self._fault_plan = fault_plan
         self._worker_env = worker_env
 
     def launch(self, index: int) -> ShmShardEndpoint:
         ring = ShmSlotRing.create(self.slots_per_shard, self.slot_bytes)
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
+        parent_conn, child_conn = MP_CONTEXT.Pipe(duplex=True)
+        process = MP_CONTEXT.Process(
             target=_shm_worker_main,
             args=(dict(self.specs), ring.name, self.slots_per_shard, ring.slot_bytes,
                   child_conn, self._fault_plan),

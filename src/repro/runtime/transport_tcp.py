@@ -2,8 +2,9 @@
 
 Everything the router does — retries, hedging, circuit breakers,
 deadlines, fault injection, respawn — already speaks the
-:mod:`repro.runtime.transport` protocol; this module makes a shard's
-location irrelevant by speaking that protocol over a socket:
+:mod:`repro.runtime.transport` protocol (its module docstring is the
+table of messages); this module makes a shard's location irrelevant by
+speaking that protocol over a socket:
 
 * **Framing** — every message is a 5-byte ``(length, type)`` header plus
   either a pickled control tuple or a raw tensor body (req_id, deadline,
@@ -14,13 +15,15 @@ location irrelevant by speaking that protocol over a socket:
   ``("hello", {specs, bundles, fault_plan, payload_bytes, protocol})``.
   ``specs`` is the full model registry (``{name: SessionSpec}``);
   ``bundles`` maps each model to ``(crc32, size, bytes)`` of its raw
-  ``.npz`` session bundle when the worker may not share a filesystem
-  (remote shards) — each is size-checked and CRC-verified before the
-  worker materializes it to a temp file, so a truncated multi-bundle
-  handshake fails typed (``fatal``) instead of half-loading the zoo.
-  A protocol-version mismatch is answered with a ``fatal`` frame naming
-  both versions, so the router surfaces a clear error instead of a
-  silent disconnect.
+  ``.npz`` session bundle, read afresh at every connect, when the worker
+  has no local process and so may not share a filesystem (``None`` when
+  it has one; :func:`~repro.runtime.transport.bundle_payload`) — each
+  shipped bundle is size-checked and CRC-verified
+  before the worker materializes it to a temp file, so a truncated
+  multi-bundle handshake fails typed (``fatal``) instead of half-loading
+  the zoo.  A protocol-version mismatch is answered with a ``fatal``
+  frame naming both versions, so the router surfaces a clear error
+  instead of a silent disconnect.
 * **Deadlines re-anchored** — absolute ``time.monotonic`` values are
   meaningless across hosts, so deadlines travel as *remaining seconds*
   and are converted back to the worker's own clock on arrival.
@@ -31,20 +34,19 @@ location irrelevant by speaking that protocol over a socket:
   remote one through the connection itself: EOF/RST surfaces
   immediately as :class:`~repro.runtime.transport.TransportClosedError`,
   and a connection that stops carrying frames (not even health pongs)
-  past ``heartbeat_timeout_s`` is declared dead — the half-open-socket
+  past :data:`HEARTBEAT_TIMEOUT_S` is declared dead — the half-open-socket
   case EOF never reports.
-* **Reconnect-aware respawn** — "respawning" a remote shard means
-  reconnecting to its address with bounded retries
-  (:class:`RemoteTcpLauncher`): ``python -m repro worker`` keeps
-  listening after a router disconnects, so a router restart, a network
-  blip, or a drained connection just re-handshakes.  A worker that
-  cannot be reached after the retry budget is marked permanently failed
-  by the router's usual early-death accounting.
 
-Two launchers cover the deployment modes: :class:`LocalTcpLauncher`
-spawns loopback worker processes (used to run the whole cluster test
-matrix over TCP), :class:`RemoteTcpLauncher` connects to externally
-started ``python -m repro worker --listen HOST:PORT`` processes.
+A shard is either spawned or addressed, and :class:`TcpShardLauncher`
+does both: ``launch(index)`` spawns a loopback worker process and
+connects to the port it reports (crash = process death, respawn = fresh
+process — this runs the whole cluster test matrix over TCP);
+``launch(index, address)`` connects to an externally started
+``python -m repro worker --listen HOST:PORT`` with bounded retries and
+backoff.  That worker keeps listening after a router disconnects, so
+for an addressed shard a respawn is a reconnect: a router restart, a
+network blip, or a drained connection just re-handshakes, and a worker
+that stays unreachable is marked permanently failed by the router.
 
 Security note: the control channel carries pickled tuples (as the
 multiprocessing pipes always did), so this transport trusts its network
@@ -67,13 +69,12 @@ from repro.runtime.transport import (
     FRAME_HEADER,
     FRAME_TENSOR,
     MAX_FRAME_BYTES,
-    CreditGate,
     ShardEndpoint,
     ShardLauncher,
     TransportClosedError,
     WorkerTransport,
+    bundle_payload,
     materialize_bundle,
-    pack_bundle_payload,
     pack_control_frame,
     pack_tensor_frame,
     tensor_frame_meta,
@@ -81,13 +82,12 @@ from repro.runtime.transport import (
     unpack_control_body,
     unpack_tensor_frame,
 )
-from repro.runtime.transport_shm import spawn_with_env
+from repro.runtime.transport_shm import MP_CONTEXT, spawn_with_env
 
 __all__ = [
     "TcpShardEndpoint",
     "TcpWorkerTransport",
-    "LocalTcpLauncher",
-    "RemoteTcpLauncher",
+    "TcpShardLauncher",
     "worker_serve",
     "parse_hostport",
 ]
@@ -99,16 +99,22 @@ __all__ = [
 #: messages)
 PROTOCOL_VERSION = 3
 
-#: a connection that carried no frame (not even a pong) for this long is
-#: considered dead even though the socket never EOF'd (half-open peer).
-#: Generous by default: router pings every ``health_interval_s`` and any
-#: frame resets the clock, so only a truly wedged link trips this.
-DEFAULT_HEARTBEAT_TIMEOUT_S = 10.0
+#: a connection to a worker without a local process that carried no
+#: frame (not even a pong) for this long is considered dead even though
+#: the socket never EOF'd (half-open peer).  Generous: the router pings
+#: every ``health_interval_s`` and any frame resets the clock, so only a
+#: truly wedged link trips this.
+HEARTBEAT_TIMEOUT_S = 10.0
 
-#: connection attempts per (re)launch of a remote shard, with
-#: exponential backoff between them — a respawn is a reconnect here
+#: how long a spawned loopback worker may take to report its port
+PORT_REPORT_TIMEOUT_S = 30.0
+
+#: connection attempts per (re)launch, each bounded by
+#: ``CONNECT_TIMEOUT_S``, with exponential backoff between them — for an
+#: addressed shard a respawn is a reconnect
 CONNECT_RETRIES = 3
 CONNECT_BACKOFF_S = 0.3
+CONNECT_TIMEOUT_S = 10.0
 
 
 def parse_hostport(address: str) -> tuple[str, int]:
@@ -194,9 +200,9 @@ class TcpWorkerTransport(WorkerTransport):
         # CorruptedPayloadError on *this request*, not a dead stream
         return unpack_tensor_frame(handle)[2]
 
-    def _send(self, data: bytes) -> None:
+    def _send_frame(self, frame: bytes) -> None:
         with self._send_lock:
-            _send_bytes(self._sock, data)
+            _send_bytes(self._sock, frame)
 
     def send_result(self, req_id: int, handle, out: np.ndarray, corrupt: bool = False) -> None:
         frame = pack_tensor_frame(req_id, out)
@@ -204,28 +210,13 @@ class TcpWorkerTransport(WorkerTransport):
             # injected fault: flip the last payload byte *after* the
             # checksum was computed — the router's verify must catch it
             frame = frame[:-1] + bytes([frame[-1] ^ 0xFF])
-        self._send(frame)
+        self._send_frame(frame)
 
     def send_error(self, req_id: int, handle, code: str, text: str) -> None:
-        self._send(pack_control_frame(("err", req_id, code, text)))
+        self.send(("err", req_id, code, text))
 
-    def send_trace(self, req_id: int, spans: list[dict]) -> None:
-        self._send(pack_control_frame(("trace", req_id, spans)))
-
-    def send_model_ack(self, op: str, name: str, detail: str | None) -> None:
-        self._send(pack_control_frame(("model", op, name, detail)))
-
-    def send_ready(self, pid: int) -> None:
-        self._send(pack_control_frame(("ready", pid)))
-
-    def send_pong(self, seq: int, stats: dict | None) -> None:
-        self._send(pack_control_frame(("pong", seq, stats)))
-
-    def send_bye(self, stats: dict | None) -> None:
-        self._send(pack_control_frame(("bye", stats)))
-
-    def send_fatal(self, text: str) -> None:
-        self._send(pack_control_frame(("fatal", text)))
+    def send(self, msg: tuple) -> None:
+        self._send_frame(pack_control_frame(msg))
 
     def close(self) -> None:
         try:
@@ -261,7 +252,7 @@ def _serve_connection(conn: socket.socket) -> None:
                 f"worker speaks {PROTOCOL_VERSION}"
             )
             try:
-                transport.send_fatal(text)
+                transport.send(("fatal", text))
             except TransportClosedError:
                 pass
             raise TransportClosedError(text)
@@ -279,7 +270,7 @@ def _serve_connection(conn: socket.socket) -> None:
                 bundle_paths.append(specs[name].bundle_path)
         except CorruptedPayloadError as exc:
             try:
-                transport.send_fatal(str(exc))
+                transport.send(("fatal", str(exc)))
             except TransportClosedError:
                 pass
             raise TransportClosedError(str(exc))
@@ -312,8 +303,9 @@ def worker_serve(
     one router); when that router disconnects — drain, crash, or network
     blip — the worker returns to ``accept()`` so the router's respawn
     logic can simply reconnect.  ``once=True`` exits after the first
-    connection ends (used by :class:`LocalTcpLauncher`, whose router
-    respawns whole processes).  ``on_bound(port)`` reports the actual
+    connection ends (used for the loopback workers
+    :class:`TcpShardLauncher` spawns, whose router respawns whole
+    processes).  ``on_bound(port)`` reports the actual
     port after binding (for ``port=0`` ephemeral listens).
     """
     srv = socket.create_server((host, port), backlog=4)
@@ -337,7 +329,7 @@ def worker_serve(
 
 
 def _tcp_worker_main(report_conn) -> None:
-    """Spawn target for :class:`LocalTcpLauncher` (module-level: must be
+    """Spawn target for :class:`TcpShardLauncher` (module-level: must be
     importable under spawn).  Binds an ephemeral loopback port, reports
     it back through the bootstrap pipe, serves one router connection."""
     def on_bound(port: int) -> None:
@@ -360,32 +352,17 @@ class TcpShardEndpoint(ShardEndpoint):
         credits: int,
         process=None,
         address: str | None = None,
-        heartbeat_timeout_s: float | None = DEFAULT_HEARTBEAT_TIMEOUT_S,
     ) -> None:
+        super().__init__(credits)
         self._sock = sock
-        self._gate = CreditGate(credits)
         self.process = process  # local worker process handle, or None (remote)
         self.address = address
-        self._heartbeat_timeout_s = heartbeat_timeout_s
         self._send_lock = threading.Lock()
         self._token_lock = threading.Lock()
         self._tokens: dict[int, int] = {}  # req_id -> credit token
         self._dead = threading.Event()
         self._last_rx = time.monotonic()
         self._got_frame = False
-
-    # -- backpressure ---------------------------------------------------
-    def acquire(self, timeout: float | None = None) -> int | None:
-        try:
-            return self._gate.acquire(timeout=timeout)
-        except RuntimeError as exc:
-            raise TransportClosedError(str(exc)) from exc
-
-    def release(self, token: int) -> None:
-        try:
-            self._gate.release(token)
-        except ValueError:
-            pass  # already back (endpoint torn down under us)
 
     def _release_for(self, req_id: int) -> None:
         with self._token_lock:
@@ -407,26 +384,15 @@ class TcpShardEndpoint(ShardEndpoint):
         frame = pack_tensor_frame(req_id, x, remaining, trace_id, model)
         with self._token_lock:
             self._tokens[req_id] = token  # mapped before send: the reply may race us
+        self._send_frame(frame)
+
+    def send(self, msg: tuple) -> None:
+        self._send_frame(pack_control_frame(msg))
+
+    def _send_frame(self, frame: bytes) -> None:
         try:
             with self._send_lock:
                 _send_bytes(self._sock, frame)
-        except TransportClosedError:
-            self._dead.set()
-            raise
-
-    def send_ping(self, seq: int) -> None:
-        self._send_control(("ping", seq))
-
-    def send_stop(self) -> None:
-        self._send_control(("stop",))
-
-    def send_control(self, msg: tuple) -> None:
-        self._send_control(msg)
-
-    def _send_control(self, msg) -> None:
-        try:
-            with self._send_lock:
-                _send_bytes(self._sock, pack_control_frame(msg))
         except TransportClosedError:
             self._dead.set()
             raise
@@ -469,10 +435,10 @@ class TcpShardEndpoint(ShardEndpoint):
             return False
         if self.process is not None:
             return self.process.is_alive()
-        if self._heartbeat_timeout_s is not None and self._got_frame:
+        if self._got_frame:
             # half-open detection: a healthy worker answers pings, so a
             # frameless connection this old is wedged even without EOF
-            return (time.monotonic() - self._last_rx) <= self._heartbeat_timeout_s
+            return (time.monotonic() - self._last_rx) <= HEARTBEAT_TIMEOUT_S
         return True
 
     def kill(self) -> None:
@@ -503,38 +469,36 @@ class TcpShardEndpoint(ShardEndpoint):
             pass
 
 
-def _handshake(
-    sock: socket.socket,
-    specs: dict[str, SessionSpec],
-    *,
-    bundles: dict[str, tuple] | None,
-    fault_plan: FaultPlan | None,
-    payload_bytes: int | None,
-) -> None:
-    _send_bytes(
-        sock,
-        pack_control_frame(
-            ("hello", {
-                "protocol": PROTOCOL_VERSION,
-                "specs": dict(specs),
-                "bundles": dict(bundles) if bundles else {},
-                "fault_plan": fault_plan,
-                "payload_bytes": payload_bytes,
-            })
-        ),
+def _connect(index: int, address: str) -> socket.socket:
+    """Connect to the worker at ``address``, retrying with backoff."""
+    host, port = parse_hostport(address)
+    last: Exception | None = None
+    for attempt in range(CONNECT_RETRIES):
+        if attempt:
+            time.sleep(CONNECT_BACKOFF_S * (2 ** (attempt - 1)))
+        try:
+            return _configure(socket.create_connection((host, port), timeout=CONNECT_TIMEOUT_S))
+        except OSError as exc:
+            last = exc
+    raise RuntimeError(
+        f"shard {index} unreachable at {address} after {CONNECT_RETRIES} attempts: {last}"
     )
 
 
-class LocalTcpLauncher(ShardLauncher):
-    """Spawns loopback worker processes and connects to them over TCP.
+class TcpShardLauncher(ShardLauncher):
+    """Brings TCP shards up: ``launch(index)`` spawns a loopback worker
+    process and connects to the port it reports; ``launch(index,
+    address)`` connects to an externally started worker at
+    ``"host:port"``.  Either way the connection opens with the
+    ``hello`` handshake, which carries session-bundle bytes for exactly
+    the models of a shard without a local process
+    (:func:`~repro.runtime.transport.bundle_payload`).
 
-    Functionally equivalent to the shm launcher (local processes, crash
-    = process death, respawn = fresh process) but every byte moves over
-    a real socket — which is exactly what lets the whole cluster test
-    matrix run unchanged against the TCP stack.
+    ``specs`` is the cluster's **live** model registry (shared by
+    reference): every launch snapshots it, so a new incarnation —
+    respawn, reconnect or elastic add — builds the current model set
+    from the bundles as they are on disk now.
     """
-
-    kind = "tcp"
 
     def __init__(
         self,
@@ -542,24 +506,47 @@ class LocalTcpLauncher(ShardLauncher):
         *,
         slots_per_shard: int,
         slot_bytes: int,
-        ctx,
         fault_plan: FaultPlan | None = None,
         worker_env: dict[str, str] | None = None,
-        connect_timeout_s: float = 30.0,
-        heartbeat_timeout_s: float | None = DEFAULT_HEARTBEAT_TIMEOUT_S,
     ) -> None:
         self.specs = specs
         self.slots_per_shard = slots_per_shard
         self.slot_bytes = slot_bytes
-        self._ctx = ctx
         self._fault_plan = fault_plan
         self._worker_env = worker_env
-        self._connect_timeout_s = connect_timeout_s
-        self._heartbeat_timeout_s = heartbeat_timeout_s
 
-    def launch(self, index: int) -> TcpShardEndpoint:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=False)
-        process = self._ctx.Process(
+    def launch(self, index: int, address: str | None = None) -> TcpShardEndpoint:
+        process = sock = None
+        try:
+            if address is None:
+                process, address = self._spawn(index)
+            sock = _connect(index, address)
+            specs = dict(self.specs)  # snapshot the live registry at connect time
+            _send_bytes(sock, pack_control_frame(("hello", {
+                "protocol": PROTOCOL_VERSION,
+                "specs": specs,
+                "bundles": {name: bundle_payload(spec, process) for name, spec in specs.items()},
+                "fault_plan": self._fault_plan,
+                "payload_bytes": self.slot_bytes,
+            })))
+        except BaseException:
+            if sock is not None:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
+            if process is not None:
+                process.terminate()
+                process.join(timeout=5.0)
+            raise
+        return TcpShardEndpoint(
+            sock, credits=self.slots_per_shard, process=process, address=address
+        )
+
+    def _spawn(self, index: int) -> tuple:
+        """Start a loopback worker; returns ``(process, "127.0.0.1:port")``."""
+        parent_conn, child_conn = MP_CONTEXT.Pipe(duplex=False)
+        process = MP_CONTEXT.Process(
             target=_tcp_worker_main,
             args=(child_conn,),
             name=f"repro-shard-{index}",
@@ -567,145 +554,16 @@ class LocalTcpLauncher(ShardLauncher):
         )
         spawn_with_env(process, self._worker_env)
         child_conn.close()
-        sock = None
         try:
-            if not parent_conn.poll(self._connect_timeout_s):
+            if not parent_conn.poll(PORT_REPORT_TIMEOUT_S):
                 raise RuntimeError(
                     f"shard {index} worker never reported its port "
-                    f"(waited {self._connect_timeout_s}s)"
+                    f"(waited {PORT_REPORT_TIMEOUT_S}s)"
                 )
-            port = parent_conn.recv()
-            sock = _configure(
-                socket.create_connection(("127.0.0.1", port), timeout=self._connect_timeout_s)
-            )
-            # local workers share the filesystem: every spec's bundle
-            # path is readable as-is, so build failures surface in the
-            # worker (as "fatal") exactly like the shm transport
-            _handshake(sock, self.specs, bundles=None, fault_plan=self._fault_plan,
-                       payload_bytes=self.slot_bytes)
-            return TcpShardEndpoint(
-                sock, credits=self.slots_per_shard, process=process,
-                address=f"127.0.0.1:{port}",
-                heartbeat_timeout_s=self._heartbeat_timeout_s,
-            )
+            return process, f"127.0.0.1:{parent_conn.recv()}"
         except BaseException:
-            if sock is not None:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
             process.terminate()
             process.join(timeout=5.0)
             raise
         finally:
             parent_conn.close()
-
-
-class RemoteTcpLauncher(ShardLauncher):
-    """Connects to externally started workers
-    (``python -m repro worker --listen HOST:PORT``), one address per
-    shard index.  A respawn is a reconnect: the worker's accept loop
-    survives router disconnects, so bounded connect retries (with
-    backoff) bring a blipped shard back; an unreachable one exhausts the
-    budget and is marked permanently failed by the router.
-
-    Founding shards map onto ``addresses`` by index; shards added to a
-    live cluster are pinned to their address with :meth:`assign` (so
-    ``addresses`` may be empty when every shard is assigned that way —
-    the elastic add-by-address path on an otherwise-local cluster)."""
-
-    kind = "tcp"
-
-    def __init__(
-        self,
-        specs: dict[str, SessionSpec],
-        addresses: list[str],
-        *,
-        slots_per_shard: int,
-        slot_bytes: int,
-        fault_plan: FaultPlan | None = None,
-        connect_timeout_s: float = 10.0,
-        heartbeat_timeout_s: float | None = DEFAULT_HEARTBEAT_TIMEOUT_S,
-    ) -> None:
-        self.specs = specs
-        self.addresses = [parse_hostport(a) and a for a in addresses]  # validate early
-        #: explicit index -> address pins (elastic membership adds);
-        #: indices without a pin fall back to the founding address list
-        self._assigned: dict[int, str] = {}
-        self.slots_per_shard = slots_per_shard
-        self.slot_bytes = slot_bytes
-        self._fault_plan = fault_plan
-        self._connect_timeout_s = connect_timeout_s
-        self._heartbeat_timeout_s = heartbeat_timeout_s
-        #: bundle_path -> packed (crc32, size, bytes) payload or None,
-        #: read once per path and reused by every (re)connect; keyed by
-        #: path (not model name) so a hot-reloaded model with a new
-        #: bundle ships fresh bytes
-        self._bundle_cache: dict[str, tuple | None] = {}
-
-    def _bundle_payloads(self, specs: dict[str, SessionSpec]) -> dict[str, tuple]:
-        """Ship each model's session bundle (CRC-framed) unless it is
-        unreadable here (then the worker falls back to the spec's own
-        path — and a worker that cannot read it either reports the build
-        failure as fatal)."""
-        payloads: dict[str, tuple] = {}
-        for name, spec in specs.items():
-            path = spec.bundle_path
-            if path not in self._bundle_cache:
-                try:
-                    with open(path, "rb") as fh:
-                        self._bundle_cache[path] = pack_bundle_payload(fh.read())
-                except OSError:
-                    self._bundle_cache[path] = None
-            payload = self._bundle_cache[path]
-            if payload is not None:
-                payloads[name] = payload
-        return payloads
-
-    def assign(self, index: int, address: str) -> None:
-        """Pin one shard index to a worker address; ``launch(index)``
-        (and every relaunch — the respawn/reconnect path) connects
-        there from now on."""
-        parse_hostport(address)
-        self._assigned[index] = address
-
-    def launch(self, index: int) -> TcpShardEndpoint:
-        address = self._assigned.get(index)
-        if address is None:
-            if not self.addresses:
-                raise RuntimeError(
-                    f"shard {index} has no assigned address and the launcher "
-                    "has no founding address list"
-                )
-            address = self.addresses[index % len(self.addresses)]
-        host, port = parse_hostport(address)
-        last: Exception | None = None
-        for attempt in range(CONNECT_RETRIES):
-            if attempt:
-                time.sleep(CONNECT_BACKOFF_S * (2 ** (attempt - 1)))
-            try:
-                sock = _configure(
-                    socket.create_connection((host, port), timeout=self._connect_timeout_s)
-                )
-                break
-            except OSError as exc:
-                last = exc
-        else:
-            raise RuntimeError(
-                f"shard {index} unreachable at {address} after {CONNECT_RETRIES} "
-                f"attempts: {last}"
-            )
-        try:
-            specs = dict(self.specs)  # snapshot the live registry at connect time
-            _handshake(sock, specs, bundles=self._bundle_payloads(specs),
-                       fault_plan=self._fault_plan, payload_bytes=self.slot_bytes)
-        except BaseException:
-            try:
-                sock.close()
-            except OSError:
-                pass
-            raise
-        return TcpShardEndpoint(
-            sock, credits=self.slots_per_shard, process=None, address=address,
-            heartbeat_timeout_s=self._heartbeat_timeout_s,
-        )

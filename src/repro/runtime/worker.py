@@ -262,7 +262,7 @@ def run_worker(
     try:
         host = ModelHost(specs)
     except BaseException as exc:  # surface build failures instead of respawn-looping
-        _safe(transport.send_fatal, f"{type(exc).__name__}: {exc}")
+        _safe(transport.send, ("fatal", f"{type(exc).__name__}: {exc}"))
         transport.close()
         return
 
@@ -275,7 +275,7 @@ def run_worker(
         # after the reply, same ordered channel: the router resolves the
         # result first, then splices the worker spans into the trace
         if collector is not None:
-            _safe(transport.send_trace, req_id, collector.export())
+            _safe(transport.send, ("trace", req_id, collector.export()))
 
     def _reply(
         req_id: int,
@@ -306,7 +306,7 @@ def run_worker(
             _ship_trace(req_id, collector)
 
     try:
-        _safe(transport.send_ready, os.getpid())
+        _safe(transport.send, ("ready", os.getpid()))
         while True:
             try:
                 msg = transport.recv()
@@ -316,10 +316,10 @@ def run_worker(
             if kind == "stop":
                 return
             if kind == "ping":
-                _safe(transport.send_pong, msg[1], host.snapshot())
+                _safe(transport.send, ("pong", msg[1], host.snapshot()))
             elif kind == "load":
                 _, name, spec, payload = msg
-                path = None
+                path = detail = None
                 try:
                     if payload is not None:
                         spec = materialize_bundle(name, spec, payload)
@@ -327,22 +327,21 @@ def run_worker(
                     host.load(name, spec)
                 except BaseException as exc:
                     _discard(path)
-                    _safe(transport.send_model_ack, "load", name,
-                          f"{type(exc).__name__}: {exc}")
+                    detail = f"{type(exc).__name__}: {exc}"
                 else:
                     if path is not None:
                         shipped[name] = path
-                    _safe(transport.send_model_ack, "load", name, None)
+                _safe(transport.send, ("model", "load", name, detail))
             elif kind == "unload":
                 _, name = msg
+                detail = None
                 try:
                     host.unload(name)
                 except BaseException as exc:
-                    _safe(transport.send_model_ack, "unload", name,
-                          f"{type(exc).__name__}: {exc}")
+                    detail = f"{type(exc).__name__}: {exc}"
                 else:
                     _discard(shipped.pop(name, None))
-                    _safe(transport.send_model_ack, "unload", name, None)
+                _safe(transport.send, ("model", "unload", name, detail))
             elif kind == "req":
                 _, req_id, deadline_at, trace_id, model, handle = msg
                 # a nonzero trace id means the router sampled this request:
@@ -392,5 +391,5 @@ def run_worker(
         host.close()
         for path in shipped.values():
             _discard(path)
-        _safe(transport.send_bye, stats)
+        _safe(transport.send, ("bye", stats))
         transport.close()

@@ -26,6 +26,7 @@ the chaos suite; watcher/admin plumbing runs once over shm.
 import json
 import os
 import signal
+import socket
 import threading
 import time
 import urllib.error
@@ -199,6 +200,82 @@ class TestMembershipAPI:
                 timeout=30.0,
             )
         worker.join(timeout=10)
+
+
+def _serve_in_thread(once: bool = True) -> str:
+    """Start ``worker_serve`` on an ephemeral loopback port in a daemon
+    thread; returns its ``host:port``."""
+    bound = []
+    ready = threading.Event()
+    threading.Thread(
+        target=worker_serve,
+        args=("127.0.0.1", 0),
+        kwargs={"once": once, "on_bound": lambda p: (bound.append(p), ready.set())},
+        daemon=True,
+    ).start()
+    assert ready.wait(10)
+    return f"127.0.0.1:{bound[0]}"
+
+
+# ----------------------------------------------------------------------
+# The address map: which shards are reached at an address
+# ----------------------------------------------------------------------
+class TestAddressMap:
+    def test_add_without_address_on_addressed_cluster_refused(self, spec):
+        """A ``shards=[...]`` cluster has no local launcher to spawn with."""
+        with ShardedServer(spec, shards=[_serve_in_thread()],
+                           health_interval_s=0.2) as server:
+            with pytest.raises(ValueError, match="host:port"):
+                server.add_shard()
+            assert [e["shard"] for e in server.cluster_stats["shards"]] == [0]
+
+    def test_unreachable_address_leaves_nothing_behind(self, spec):
+        """An add whose address refuses every connect attempt raises,
+        installs no member, pins no address, and spends its index."""
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            closed_port = probe.getsockname()[1]  # bound, never listening
+        with ShardedServer(spec, num_shards=1, health_interval_s=0.2) as server:
+            generation = server.cluster_stats["generation"]
+            with pytest.raises(RuntimeError, match="unreachable"):
+                server.add_shard(f"127.0.0.1:{closed_port}")
+            stats = server.cluster_stats
+            assert [e["shard"] for e in stats["shards"]] == [0]
+            assert stats["generation"] == generation
+            assert server._addresses == {}
+            assert server.add_shard() == 2  # index 1 went to the failed add
+
+    def test_reconnect_ships_the_bundle_as_it_is_now(self, tmp_path):
+        """A remote shard that reconnects builds every model from its
+        bundle file as it is at reconnect time: a model reloaded from a
+        bundle rewritten at the same path keeps serving the new weights
+        after the connection is severed, never an earlier handshake's."""
+        spec_a = projected_smallcnn_spec(str(tmp_path / "a.npz"), in_size=IN_SIZE, seed=1)
+        b_path = str(tmp_path / "b.npz")
+        spec_b_old = projected_smallcnn_spec(b_path, in_size=IN_SIZE, seed=2)
+        x = _rand(2, seed=5)
+        with spec_b_old.build() as oracle:
+            old = oracle.run(x)
+        with ShardedServer(specs={"a": spec_a, "b": spec_b_old},
+                           shards=[_serve_in_thread(once=False)],
+                           health_interval_s=0.2) as server:
+            np.testing.assert_array_equal(server.submit(x, model="b").result(timeout=60), old)
+            server.unload_model("b", timeout=60.0)
+            spec_b_new = projected_smallcnn_spec(b_path, in_size=IN_SIZE, seed=3)
+            with spec_b_new.build() as oracle:
+                new = oracle.run(x)
+            assert not np.array_equal(old, new)
+            server.load_model("b", spec_b_new, timeout=60.0)
+            np.testing.assert_array_equal(server.submit(x, model="b").result(timeout=60), new)
+
+            generation = server.cluster_stats["generation"]
+            server._shards[0].endpoint.kill()  # sever: the router reconnects
+            assert _wait_until(
+                lambda: server.cluster_stats["generation"] > generation
+                and server._shards[0].ready.is_set(),
+                timeout=30.0,
+            )
+            np.testing.assert_array_equal(server.submit(x, model="b").result(timeout=60), new)
 
 
 # ----------------------------------------------------------------------

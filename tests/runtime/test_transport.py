@@ -1,4 +1,5 @@
-"""Transport protocol unit tests: framing edge cases and backpressure.
+"""Transport protocol unit tests: framing edge cases, backpressure, and
+conformance of both transports to one message vocabulary.
 
 The tensor frame codec is the part of the TCP transport that cannot be
 allowed to fail quietly: every structurally invalid body must raise
@@ -7,15 +8,27 @@ router's retry machinery handles it), never return wrong numbers, and
 never crash the stream with an untyped error.  These tests hit the
 codec directly — no sockets — plus the :class:`CreditGate` backpressure
 primitive, the per-shard slot free list of both transports.
+
+The conformance tests pair each transport's router endpoint with its
+worker transport inside this process — shm over a
+``multiprocessing.Pipe`` plus a slot ring, TCP over a
+``socket.socketpair`` — and check that every message of the vocabulary
+comes out the other side as the same normalized event on both.
 """
 
+import contextlib
+import multiprocessing
+import socket
 import threading
 import time
 
 import numpy as np
 import pytest
 
+from repro.runtime import transport_tcp
 from repro.runtime.resilience import CorruptedPayloadError
+from repro.runtime.session import SessionSpec
+from repro.runtime.shm_ring import ShmSlotRing
 from repro.runtime.transport import (
     FRAME_HEADER,
     FRAME_TENSOR,
@@ -31,6 +44,8 @@ from repro.runtime.transport import (
     unpack_tensor_frame,
     verify_bundle_payload,
 )
+from repro.runtime.transport_shm import ShmShardEndpoint, ShmWorkerTransport
+from repro.runtime.transport_tcp import TcpShardEndpoint, TcpWorkerTransport
 
 
 def _body(frame: bytes) -> bytes:
@@ -290,3 +305,198 @@ class TestCreditGate:
     def test_invalid_credit_count(self):
         with pytest.raises(ValueError, match="credits"):
             CreditGate(0)
+
+
+# ----------------------------------------------------------------------
+# Conformance: both transports carry one vocabulary (in process)
+# ----------------------------------------------------------------------
+SLOTS = 2
+SLOT_BYTES = 4096
+
+
+class _Process:
+    """Worker-process handle of an in-process shm pair: always alive."""
+
+    pid = None
+
+    def is_alive(self):
+        return True
+
+    def terminate(self):
+        pass
+
+    def join(self, timeout=None):
+        pass
+
+
+@contextlib.contextmanager
+def _shm_pair():
+    router_conn, worker_conn = multiprocessing.Pipe()
+    ring = ShmSlotRing.create(SLOTS, SLOT_BYTES)
+    endpoint = ShmShardEndpoint(_Process(), router_conn, ring)
+    worker = ShmWorkerTransport(
+        worker_conn, ShmSlotRing.attach(ring.name, SLOTS, ring.slot_bytes)
+    )
+    try:
+        yield endpoint, worker
+    finally:
+        worker.close()
+        endpoint.close()
+        endpoint.dispose()
+
+
+@contextlib.contextmanager
+def _tcp_pair():
+    router_sock, worker_sock = socket.socketpair()
+    endpoint = TcpShardEndpoint(router_sock, credits=SLOTS)
+    worker = TcpWorkerTransport(worker_sock, payload_capacity=SLOT_BYTES)
+    try:
+        yield endpoint, worker
+    finally:
+        worker.close()
+        endpoint.close()
+
+
+PAIRS = {"shm": _shm_pair, "tcp": _tcp_pair}
+X = np.arange(12, dtype=np.float32).reshape(1, 3, 2, 2)
+OUT = np.linspace(-1.0, 1.0, 10, dtype=np.float32).reshape(1, 10)
+SPEC = SessionSpec("smallcnn", (3, 8, 8), "beta.npz")
+
+
+def _array(a: np.ndarray) -> tuple:
+    return ("array", a.dtype.str, a.shape, a.tobytes())
+
+
+def _normalize(msg: tuple) -> tuple:
+    """An event with arrays as ``(dtype, shape, bytes)`` and exceptions
+    as their type, so two transports' events compare with ``==``."""
+    return tuple(
+        _array(v) if isinstance(v, np.ndarray)
+        else type(v) if isinstance(v, BaseException)
+        else v
+        for v in msg
+    )
+
+
+def _exchange(transport: str) -> tuple[list, list]:
+    """Send every message of the vocabulary both ways through one pair;
+    returns the normalized events the worker and the router saw."""
+    to_worker = [
+        ("ping", 7),
+        ("load", "beta", SPEC, pack_bundle_payload(b"bundle bytes")),
+        ("unload", "beta"),
+        ("stop",),
+    ]
+    to_router = [
+        ("ready", 123),
+        ("pong", 7, {"requests": 1}),
+        ("trace", 5, [{"name": "execute", "t0": 0.0, "t1": 1.0}]),
+        ("model", "load", "beta", None),
+        ("model", "unload", "beta", "KeyError: 'beta'"),
+        ("fatal", "boom"),
+        ("bye", {"requests": 1}),
+    ]
+    worker_saw, router_saw = [], []
+    with PAIRS[transport]() as (endpoint, worker):
+        for msg in to_worker:
+            endpoint.send(msg)
+            worker_saw.append(worker.recv())
+        for msg in to_router:
+            worker.send(msg)
+            router_saw.append(endpoint.recv())
+        for req_id, reply in enumerate(("result", "error", "corrupt"), start=1):
+            endpoint.send_request(endpoint.acquire(timeout=0), req_id, X, None,
+                                  trace_id=9, model="alpha")
+            kind, rid, deadline_at, trace_id, model, handle = worker.recv()
+            worker_saw.append((kind, rid, deadline_at, trace_id, model,
+                               worker.read_payload(handle)))
+            if reply == "error":
+                worker.send_error(rid, handle, "deadline", "too late")
+            else:
+                worker.send_result(rid, handle, OUT, corrupt=reply == "corrupt")
+            router_saw.append(endpoint.recv())
+    return ([_normalize(m) for m in worker_saw], [_normalize(m) for m in router_saw])
+
+
+def test_both_transports_carry_the_same_vocabulary():
+    shm, tcp = _exchange("shm"), _exchange("tcp")
+    assert shm == tcp
+    worker_saw, router_saw = shm
+    assert worker_saw == [
+        ("ping", 7),
+        ("load", "beta", SPEC, pack_bundle_payload(b"bundle bytes")),
+        ("unload", "beta"),
+        ("stop",),
+        *[("req", rid, None, 9, "alpha", _array(X)) for rid in (1, 2, 3)],
+    ]
+    assert router_saw[:7] == [
+        ("ready", 123),
+        ("pong", 7, {"requests": 1}),
+        ("trace", 5, [{"name": "execute", "t0": 0.0, "t1": 1.0}]),
+        ("model", "load", "beta", None),
+        ("model", "unload", "beta", "KeyError: 'beta'"),
+        ("fatal", "boom"),
+        ("bye", {"requests": 1}),
+    ]
+    assert router_saw[7:] == [
+        ("res", 1, _array(OUT), None),
+        ("err", 2, "deadline", "too late"),
+        ("res", 3, None, CorruptedPayloadError),  # caught by the router's checksum
+    ]
+
+
+def _free_credits(endpoint) -> int:
+    tokens = []
+    while (token := endpoint.acquire(timeout=0)) is not None:
+        tokens.append(token)
+    for token in tokens:
+        endpoint.release(token)
+    return len(tokens)
+
+
+@pytest.mark.parametrize("transport", PAIRS)
+@pytest.mark.parametrize("reply", ["result", "error", "corrupt"])
+def test_every_reply_releases_its_credit(transport, reply):
+    """A reply of any kind — result, typed error, corrupted result —
+    hands its slot/credit back inside ``recv``, one per reply."""
+    with PAIRS[transport]() as (endpoint, worker):
+        tokens = [endpoint.acquire(timeout=0) for _ in range(SLOTS)]
+        assert None not in tokens and _free_credits(endpoint) == 0
+        for req_id, token in enumerate(tokens):
+            endpoint.send_request(token, req_id, X, None)
+        for served in range(1, SLOTS + 1):
+            _, req_id, _, _, _, handle = worker.recv()
+            if reply == "error":
+                worker.send_error(req_id, handle, "error", "failed")
+            else:
+                worker.send_result(req_id, handle, OUT, corrupt=reply == "corrupt")
+            event = endpoint.recv()
+            assert event[:2] == ("err" if reply == "error" else "res", req_id)
+            assert _free_credits(endpoint) == served
+
+
+@pytest.mark.parametrize("transport", PAIRS)
+@pytest.mark.parametrize("budget_s", [5.0, -1.0])
+def test_deadline_arrives_on_the_worker_clock(transport, budget_s):
+    """A deadline is absolute on the router's monotonic clock and
+    arrives absolute on the worker's (TCP re-anchors it from remaining
+    seconds); a spent budget arrives already past."""
+    with PAIRS[transport]() as (endpoint, worker):
+        deadline_at = time.monotonic() + budget_s
+        endpoint.send_request(endpoint.acquire(timeout=0), 1, X, deadline_at)
+        assert worker.recv()[2] == pytest.approx(deadline_at, abs=0.05)
+        endpoint.send_request(endpoint.acquire(timeout=0), 2, X, None)
+        assert worker.recv()[2] is None
+
+
+def test_tcp_silent_link_is_declared_dead(monkeypatch):
+    """Half-open detection: a connection whose socket never reports EOF
+    but carries no frame for the heartbeat timeout is not alive."""
+    monkeypatch.setattr(transport_tcp, "HEARTBEAT_TIMEOUT_S", 0.2)
+    with _tcp_pair() as (endpoint, worker):
+        assert endpoint.alive()  # no frame yet: nothing to judge by
+        worker.send(("pong", 1, None))
+        assert endpoint.recv() == ("pong", 1, None)
+        assert endpoint.alive()
+        time.sleep(0.3)
+        assert not endpoint.alive()
