@@ -123,6 +123,12 @@ python -m pytest "$MULTITENANT_SUITE" -q --timeout 300
 echo "== latency-budget harness (bench/run.py --smoke) =="
 python3 bench/run.py --smoke
 
+# The per-layer harness (--trace) reads the arena's counters and
+# footprint and times generate_kernel levels by name: a traced smoke run
+# keeps those reads working against src/ too.
+echo "== per-layer harness (bench/run.py --trace 1 --smoke) =="
+python3 bench/run.py --trace 1 --smoke
+
 echo "== benchmarks (benchmark-disabled fast pass) =="
 python -m pytest benchmarks/ -q --benchmark-disable --timeout 600 \
                  -o python_files='bench_*.py test_*.py'

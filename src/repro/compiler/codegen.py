@@ -59,11 +59,14 @@ Two products per layer:
   Kernels optionally cooperate with a
   :class:`repro.runtime.arena.BufferArena` (``fn(x, arena=...)``): the
   output and the scratch then come from the arena's reusable pools
-  instead of fresh allocations.  The numpy levels take their padded
-  input from :meth:`~repro.runtime.arena.BufferArena.padded` and
-  ``gemm`` its im2col buffer from the pool.  ``native`` pads inside C,
-  so its closure makes one output acquire, one acquire/release of a
-  per-sample scratch (the padded sample or its im2col columns, sized by
+  instead of fresh allocations.  The output belongs to the caller; every
+  scratch buffer goes back to the arena before the kernel returns, so no
+  kernel keeps per-thread state.  The numpy levels take a pooled padded
+  input from :meth:`~repro.runtime.arena.BufferArena.padded` and release
+  it as soon as the conv has read it; ``gemm`` also acquires and
+  releases its im2col buffer.  ``native`` pads inside C, so its closure
+  makes one output acquire, one acquire/release of a per-sample scratch
+  (the padded sample or its im2col columns, sized by
   ``fkw_conv_scratch``) and one ctypes call.
 
 * :class:`KernelCache` — memoises compiled closures by FKW signature +
@@ -113,6 +116,13 @@ def _padded(x: np.ndarray, padding: int, arena) -> np.ndarray:
     return np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
 
 
+def _release_pad(xp: np.ndarray, x: np.ndarray, arena) -> None:
+    """Hand a pooled pad back once the conv has read it (``xp is x`` when
+    there is no padding: the input is not the kernel's to release)."""
+    if arena is not None and xp is not x:
+        arena.release(xp)
+
+
 def _alloc_out(shape: tuple[int, ...], arena, zero: bool = True) -> np.ndarray:
     if arena is not None:
         return arena.acquire(shape, zero=zero)
@@ -142,8 +152,12 @@ def _address(arr: np.ndarray) -> int:
 def _finish(out: np.ndarray, squeeze: bool, arena) -> np.ndarray:
     if not squeeze:
         return out
-    # Squeezed results escape as views; detach them from arena memory.
-    return out[0].copy() if arena is not None else out[0]
+    if arena is None:
+        return out[0]
+    # a squeezed result escapes as a copy, so the buffer is scratch
+    sample = out[0].copy()
+    arena.release(out)
+    return sample
 
 
 def generate_kernel(
@@ -219,6 +233,7 @@ def _kernel_no_opt(
                 coords = pattern_coords[pid]
                 for widx, (r, cc) in enumerate(coords):
                     out[:, oc] += weights[widx] * xp[:, ic, r : r + stride * ho : stride, cc : cc + stride * wo : stride]
+        _release_pad(xp, x, arena)
         _epilogue(out, bias, activation)
         return _finish(out, squeeze, arena)
 
@@ -251,6 +266,7 @@ def _kernel_reorder(
                     weights = fkw.weights[k]
                     for widx, (r, cc) in enumerate(coords):
                         acc += weights[widx] * xp[:, ic, r : r + stride * ho : stride, cc : cc + stride * wo : stride]
+        _release_pad(xp, x, arena)
         _epilogue(out, bias, activation)
         return _finish(out, squeeze, arena)
 
@@ -345,6 +361,7 @@ def _kernel_lre(
             else:
                 reduced = np.add.reduceat(contrib, plan["seg_starts"], axis=1)
             out[:, plan["seg_owners"]] += reduced
+        _release_pad(xp, x, arena)
         _epilogue(out, bias, activation)
         return _finish(out, squeeze, arena)
 
@@ -398,6 +415,7 @@ def _kernel_gemm(
             for u, (r, cc) in enumerate(union):
                 col_taps[u] = xs[:, r : r + stride * ho : stride, cc : cc + stride * wo : stride]
             np.matmul(weight, col, out=rows[s])
+        _release_pad(xp, x, arena)
         if arena is not None:
             arena.release(col)
         _epilogue(out, bias, activation)

@@ -15,9 +15,13 @@ The compiled path is engineered for batch-heavy serving:
   knobs (:class:`repro.compiler.codegen.KernelCache`), so repeated
   identical layers compile once.
 * **Buffer arena** — padded-input and output scratch buffers are
-  recycled across ``run()`` calls (:class:`repro.runtime.arena.BufferArena`),
-  and intermediates are retired the moment liveness says they are dead
-  (:func:`repro.graph.passes.memory_plan.compute_liveness`).
+  recycled across ``run()`` calls (:class:`repro.runtime.arena.BufferArena`,
+  a locked pool with no per-thread state), and intermediates are retired
+  the moment liveness says they are dead
+  (:func:`repro.graph.passes.memory_plan.compute_liveness`).  Ownership
+  is static: kernels hand back their scratch before they return, and the
+  executor hands back every output buffer when a run ends — also when it
+  raises.
 
 ``InferenceSession`` wires model export, graph optimization, and the
 executor choice into one user-facing entry point, and the stack is

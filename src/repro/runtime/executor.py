@@ -10,16 +10,20 @@ static memory-plan pass instead of retaining every tensor to the end.
 nodes to **whole-batch** generated kernels (no per-sample Python loop),
 with bias + activation fused into the closure, compiled closures shared
 through a :class:`~repro.compiler.codegen.KernelCache` (identical layers
-compile once), and padded-input/output scratch recycled across calls via
-a :class:`~repro.runtime.arena.BufferArena`.  Dead intermediates produced
-by compiled kernels are released back to the arena mid-run, so repeated
-same-shape layers share physical buffers.
+compile once), and output scratch recycled across calls via a
+:class:`~repro.runtime.arena.BufferArena`.  Buffer ownership is static:
+the compiled nodes' values are the arena buffers.  A dead one goes back
+to the arena mid-run, so repeated same-shape layers share physical
+buffers; one that a view may outlive (the input of a FLATTEN or OUTPUT)
+is held until the run ends.  When the run ends — also when it raises —
+every buffer still held goes back, after a result that is statically a
+view of one has been copied.
 
 Both executors are safe to share across threads: per-run state lives in
-locals, the kernel cache locks its lookups, and the arena tracks
-in-flight scratch per thread (see :mod:`repro.runtime.arena`) — so one
-``CompiledExecutor`` can back a multi-threaded serving front-end
-(:mod:`repro.runtime.serving`) without per-thread executor copies.
+locals, the kernel cache locks its lookups, and each run hands back the
+arena buffers it took — so one ``CompiledExecutor`` can back a
+multi-threaded serving front-end (:mod:`repro.runtime.serving`) without
+per-thread executor copies.
 """
 
 from __future__ import annotations
@@ -63,11 +67,15 @@ class ReferenceExecutor:
                 self._dies_at.setdefault(last, []).append(name)
         # Values a view of which may outlive them: inputs of the nodes
         # whose reference kernels return their input (or a reshape of it)
-        # rather than a fresh array.  Every other value is unaliased when
-        # it dies, so retiring it needs no overlap scan.
+        # rather than a fresh array.
         self._aliased = {
             name for node in self._order if node.op in _ALIASING_OPS for name in node.inputs
         }
+        self._result = graph.outputs[0] if graph.outputs else self._order[-1].name
+        # Values that live in arena buffers, and whether the result is one
+        # of them or a view of one; static, set by CompiledExecutor.
+        self._arena_values: frozenset[str] = frozenset()
+        self._result_in_arena = False
 
     # ------------------------------------------------------------------
     def run(self, x: np.ndarray) -> np.ndarray:
@@ -80,48 +88,43 @@ class ReferenceExecutor:
 
     def _execute(self, x: np.ndarray, arena: BufferArena | None) -> np.ndarray:
         values: dict[str, np.ndarray] = {}
-        out = None
         # Per-layer telemetry hook (repro.runtime.telemetry.profile_layers):
         # checked once per run — the unprofiled hot path pays a single
         # thread-local read, the profiled path two clock reads per node.
         profile = active_layer_profile()
-        for step, node in enumerate(self._order):
-            if node.op == OpKind.INPUT:
-                value = np.asarray(x, dtype=np.float32)
-            else:
-                inputs = [values[i] for i in node.inputs]
-                if profile is not None:
-                    t0 = time.monotonic()
-                    value = self._dispatch(node, inputs, arena)
-                    profile.append((node.name, node.op.name, t0, time.monotonic()))
+        try:
+            for step, node in enumerate(self._order):
+                if node.op == OpKind.INPUT:
+                    value = np.asarray(x, dtype=np.float32)
                 else:
-                    value = self._dispatch(node, inputs, arena)
-            values[node.name] = value
-            out = value
-            self._retire(values, step, arena)
-        result = values[self.graph.outputs[0]] if self.graph.outputs else out
-        if arena is not None:
-            # Never hand the caller a buffer the arena may recycle; then
-            # pool every in-flight buffer (including ones whose release
-            # was skipped because a since-dead view aliased them).
-            result = arena.sanitize_output(result)
-            values.clear()
-            arena.reclaim()
-        return result
+                    inputs = [values[i] for i in node.inputs]
+                    if profile is not None:
+                        t0 = time.monotonic()
+                        value = self._dispatch(node, inputs, arena)
+                        profile.append((node.name, node.op.name, t0, time.monotonic()))
+                    else:
+                        value = self._dispatch(node, inputs, arena)
+                values[node.name] = value
+                self._retire(values, step, arena)
+            result = values[self._result]
+            # never hand the caller a buffer the arena will recycle
+            return result.copy() if self._result_in_arena else result
+        finally:
+            # the outputs, the aliased values and, when a node raised,
+            # whatever was live go back too: nothing outlives the run
+            for name in self._arena_values.intersection(values):
+                arena.release(values[name])
 
     def _retire(self, values: dict[str, np.ndarray], step: int, arena: BufferArena | None) -> None:
-        """Drop (and recycle) values whose last consumer was ``step``."""
+        """Drop values whose last consumer was ``step``; a dead arena value
+        goes back to the arena unless a view of it may still be live
+        (e.g. FLATTEN's reshape of a conv output) — that one is held
+        until the run ends."""
         for name in self._dies_at.get(step, ()):
-            dead = values.pop(name, None)
-            if arena is None or dead is None:
-                continue
-            # A view of this buffer may still be live (e.g. FLATTEN's
-            # reshape aliases the conv output) — keep it out of the pool.
-            if name in self._aliased and any(
-                dead is live or np.may_share_memory(dead, live) for live in values.values()
-            ):
-                continue
-            arena.release(dead)
+            if name not in self._arena_values:
+                values.pop(name, None)
+            elif name not in self._aliased:
+                arena.release(values.pop(name))
 
 
 class CompiledExecutor(ReferenceExecutor):
@@ -199,6 +202,11 @@ class CompiledExecutor(ReferenceExecutor):
             # already taken pinned in a shared cache.
             self.release_kernels()
             raise
+        self._arena_values = frozenset(self._compiled)
+        name = self._result
+        while graph.nodes[name].op in _ALIASING_OPS:
+            name = graph.nodes[name].inputs[0]
+        self._result_in_arena = name in self._arena_values
 
     def run(self, x: np.ndarray) -> np.ndarray:
         return self._execute(x, arena=self.arena)

@@ -9,8 +9,24 @@ from repro.graph.ir import Node, OpKind
 
 
 def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, stride: int, padding: int, groups: int = 1) -> np.ndarray:
-    """Reference convolution on a batched NCHW input."""
-    n, c, h, w = x.shape
+    """Reference convolution on a batched NCHW input.
+
+    One sample at a time, like ``LINEAR``: ``einsum`` picks its BLAS
+    blocking by batch size, so a batched product would round differently
+    than the same sample run alone — per-sample products keep inference
+    bitwise batch-invariant.
+    """
+    n = x.shape[0]
+    if n == 0:
+        out = _conv2d_rows(x, weight, stride, padding, groups)
+    else:
+        out = np.concatenate([_conv2d_rows(x[i : i + 1], weight, stride, padding, groups) for i in range(n)])
+    if bias is not None:
+        out += bias.reshape(1, -1, 1, 1)
+    return out.astype(np.float32, copy=False)
+
+
+def _conv2d_rows(x: np.ndarray, weight: np.ndarray, stride: int, padding: int, groups: int) -> np.ndarray:
     f, c_per_group, kh, kw = weight.shape
     f_per_group = f // groups
     outs = []
@@ -20,10 +36,7 @@ def conv2d(x: np.ndarray, weight: np.ndarray, bias: np.ndarray | None, stride: i
         col, ho, wo = im2col(xg, kh, kw, stride, padding)
         out = np.einsum("fk,nkl->nfl", wg.reshape(f_per_group, -1), col, optimize=True)
         outs.append(out)
-    out = np.concatenate(outs, axis=1).reshape(n, f, ho, wo)
-    if bias is not None:
-        out += bias.reshape(1, f, 1, 1)
-    return out.astype(np.float32, copy=False)
+    return np.concatenate(outs, axis=1).reshape(x.shape[0], f, ho, wo)
 
 
 def _apply_activation(x: np.ndarray, activation: str | None, inplace: bool = False) -> np.ndarray:

@@ -65,9 +65,12 @@ class ModelHost:
     :class:`BufferArena` — both thread-safe and injectable into
     :meth:`SessionSpec.build` — so co-resident tenants with identical
     pruned layers compile them once, which is what makes a two-model
-    cluster competitive with two dedicated ones.  The shared arena's
-    retained-scratch cap is the largest ``arena_max_bytes`` any spec
-    asks for (``None`` = uncapped when none do).
+    cluster competitive with two dedicated ones.  The arena is a plain
+    pool: every run hands its buffers back when it ends, so tenants and
+    serving threads share scratch without per-thread state, and a
+    failed request leaks none.  The shared arena's retained-scratch
+    cap is the largest ``arena_max_bytes`` any spec asks for (``None``
+    = uncapped when none do).
     """
 
     def __init__(self, specs: dict) -> None:

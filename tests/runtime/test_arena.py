@@ -1,4 +1,4 @@
-"""BufferArena: pooling, pad scratch, ownership, sanitation, caps, threads."""
+"""BufferArena: pooling, pad scratch, ownership, output sanitation, caps, threads."""
 
 import threading
 
@@ -74,6 +74,7 @@ class TestPaddedScratch:
         arena = BufferArena()
         x1 = np.full((1, 1, 2, 2), 3.0, np.float32)
         buf1 = arena.padded(x1, 1)
+        arena.release(buf1)
         x2 = np.full((1, 1, 2, 2), -4.0, np.float32)
         buf2 = arena.padded(x2, 1)
         assert buf2 is buf1
@@ -109,47 +110,126 @@ class TestPaddedScratch:
         np.testing.assert_array_equal(p32[0, 0, 1:3, 1:3], x32[0, 0])
         assert arena.pad_allocations == 2
 
-    def test_pad_scratch_per_thread(self):
-        """Two threads padding same-shaped inputs must not share scratch."""
+    def test_pad_is_not_handed_out_by_acquire(self):
+        """A pooled pad keeps its zero border only if nothing else ever
+        writes it: a plain acquire of the same shape gets its own buffer."""
         arena = BufferArena()
-        x = np.ones((1, 1, 2, 2), np.float32)
-        main_buf = arena.padded(x, 1)
-        other: list[np.ndarray] = []
-        t = threading.Thread(target=lambda: other.append(arena.padded(x, 1)))
+        pad = arena.padded(np.ones((1, 1, 2, 2), np.float32), 1)
+        arena.release(pad)
+        plain = arena.acquire(pad.shape, zero=True)
+        assert plain is not pad
+        assert arena.padded(np.ones((1, 1, 2, 2), np.float32), 1) is pad
+
+    def test_same_padded_shape_other_padding_other_pad(self):
+        """(h=6, p=1) and (h=4, p=2) pad to the same shape with different
+        borders: they must never share a pooled pad."""
+        arena = BufferArena()
+        a = arena.padded(np.ones((1, 1, 6, 6), np.float32), 1)
+        arena.release(a)
+        b = arena.padded(np.full((1, 1, 4, 4), 2.0, np.float32), 2)
+        assert b.shape == a.shape and b is not a
+        assert np.all(b[0, 0, :2] == 0) and np.all(b[0, 0, :, :2] == 0)
+
+    def test_pooled_pad_border_stays_zero_across_threads(self):
+        """A pad released by one thread and reused by another with other
+        data keeps its zero border: only the interior is ever written."""
+        arena = BufferArena()
+        first = arena.padded(np.full((2, 3, 4, 4), 3.0, np.float32), 1)
+        arena.release(first)
+        x = np.full((2, 3, 4, 4), -4.0, np.float32)
+        got: list[np.ndarray] = []
+        t = threading.Thread(target=lambda: got.append(arena.padded(x, 1).copy()))
         t.start()
         t.join()
-        assert other[0] is not main_buf
+        assert arena.pad_reuses == 1 and arena.pad_allocations == 1
+        np.testing.assert_array_equal(got[0][:, :, 1:5, 1:5], x)
+        border = np.ones(got[0].shape, bool)
+        border[:, :, 1:5, 1:5] = False
+        assert np.all(got[0][border] == 0)
 
 
 class TestSanitizeOutput:
+    """A result that lives in arena memory is copied before it escapes a
+    run; anything else is handed back as it is.  The executor decides
+    this statically from the graph."""
+
+    @staticmethod
+    def _graph(tail):
+        """x -> conv, then ``tail`` aliasing/reference nodes on top."""
+        from repro.core.patterns import PatternSet, enumerate_candidate_patterns
+        from repro.core.projections import project_kernel_pattern
+        from repro.graph.ir import Graph, Node, OpKind, run_shape_inference
+
+        rng = np.random.default_rng(0)
+        ps = PatternSet(enumerate_candidate_patterns()[:6])
+        w, a = project_kernel_pattern(rng.standard_normal((4, 2, 3, 3)).astype(np.float32), ps)
+        g = Graph("sanitize")
+        g.add(Node("x", OpKind.INPUT, attrs={"shape": (2, 5, 5)}))
+        attrs = {"kernel_size": 3, "stride": 1, "padding": 1, "out_channels": 4}
+        g.add(Node("conv", OpKind.CONV2D, inputs=["x"], attrs=attrs, params={"weight": w}))
+        prev = "conv"
+        for name, op, params in tail:
+            attrs = {"out_features": 3} if op == OpKind.LINEAR else {}
+            g.add(Node(name, op, inputs=[prev], attrs=attrs, params=params))
+            prev = name
+        g.outputs = [prev]
+        run_shape_inference(g)
+        return g, ps, {"conv": a.astype(np.int32)}
+
+    def _run_recording(self, tail):
+        """Two runs; returns (first result, the arrays each node returned
+        in the second run, second result, arena)."""
+        from repro.runtime import CompiledExecutor
+
+        ex = CompiledExecutor(*self._graph(tail))
+        returned: dict[str, np.ndarray] = {}
+        dispatch = ex._dispatch
+
+        def recording(node, inputs, arena):
+            returned[node.name] = dispatch(node, inputs, arena)
+            return returned[node.name]
+
+        ex._dispatch = recording
+        x = np.random.default_rng(1).standard_normal((2, 2, 5, 5)).astype(np.float32)
+        first = ex.run(x)
+        second = ex.run(x)
+        return first, returned, second, ex.arena
+
     def test_owned_buffer_copied(self):
-        arena = BufferArena()
-        buf = arena.acquire((2, 2), zero=True)
-        out = arena.sanitize_output(buf)
-        assert out is not buf
-        np.testing.assert_array_equal(out, buf)
+        first, returned, second, arena = self._run_recording([])
+        assert arena.owns(returned["conv"])
+        assert not np.shares_memory(second, returned["conv"])
+        np.testing.assert_array_equal(second, returned["conv"])
+        np.testing.assert_array_equal(first, second)
+        assert arena.reuses == arena.allocations > 0  # run 2 reused all of run 1
 
     def test_view_of_owned_buffer_copied(self):
-        arena = BufferArena()
-        buf = arena.acquire((2, 4), zero=True)
-        view = buf[0]
-        assert arena.sanitize_output(view) is not view
+        from repro.graph.ir import OpKind
+
+        _, returned, second, arena = self._run_recording([("flat", OpKind.FLATTEN, {})])
+        assert np.shares_memory(returned["flat"], returned["conv"])
+        assert not np.shares_memory(second, returned["conv"])
+        np.testing.assert_array_equal(second, returned["flat"])
 
     def test_view_of_view_copied(self):
-        """Ownership follows the whole ``.base`` chain: a reshape of a slice
-        of an owned buffer is still arena memory."""
-        arena = BufferArena()
-        buf = arena.acquire((2, 3, 4), zero=True)
-        view = buf[1:].reshape(-1)[::2]
-        out = arena.sanitize_output(view)
-        assert out is not view and not np.shares_memory(out, buf)
-        np.testing.assert_array_equal(out, view)
+        """The result reaches the conv buffer through two aliasing nodes
+        (FLATTEN, then OUTPUT): still arena memory."""
+        from repro.graph.ir import OpKind
+
+        tail = [("flat", OpKind.FLATTEN, {}), ("out", OpKind.OUTPUT, {})]
+        _, returned, second, arena = self._run_recording(tail)
+        assert returned["out"] is returned["flat"]
+        assert not np.shares_memory(second, returned["conv"])
+        np.testing.assert_array_equal(second, returned["flat"])
 
     def test_foreign_array_passes_through(self):
-        arena = BufferArena()
-        arena.acquire((2, 2))
-        foreign = np.ones((3, 3), np.float32)
-        assert arena.sanitize_output(foreign) is foreign
+        from repro.graph.ir import OpKind
+
+        fc = {"weight": np.ones((3, 4 * 25), np.float32)}
+        tail = [("flat", OpKind.FLATTEN, {}), ("fc", OpKind.LINEAR, fc)]
+        _, returned, second, arena = self._run_recording(tail)
+        assert second is returned["fc"]
+        assert not arena.owns(second)
 
     def test_clear_resets(self):
         arena = BufferArena()
@@ -159,7 +239,6 @@ class TestSanitizeOutput:
         arena.clear()
         assert arena.allocations == 0 and arena.pad_allocations == 0
         assert not arena.owns(buf)
-
 
 class TestGrowthCap:
     def test_negative_cap_rejected(self):
@@ -192,8 +271,10 @@ class TestGrowthCap:
         arena = BufferArena(max_bytes=1024)
         x = np.ones((1, 1, 30, 30), np.float32)  # pad scratch 32*32*4 = 4 KB
         buf = arena.padded(x, 1)
-        # over-cap pad scratch is evicted from the arena's tables, but the
-        # local reference stays valid for the in-progress conv
+        assert arena.footprint_bytes == buf.nbytes  # handed out: never evicted
+        arena.release(buf)
+        # a released over-cap pad is evicted from the arena's tables, but
+        # a local reference stays valid
         np.testing.assert_array_equal(buf[0, 0, 1:31, 1:31], x[0, 0])
         assert arena.footprint_bytes <= 1024
         assert arena.evictions >= 1
@@ -203,9 +284,9 @@ class TestGrowthCap:
         arena = BufferArena(max_bytes=cap)
         for n in range(1, 40):
             buf = arena.acquire((n, 32, 32), zero=True)
-            arena.padded(np.ones((n, 1, 8, 8), np.float32), 1)
+            pad = arena.padded(np.ones((n, 1, 8, 8), np.float32), 1)
+            arena.release(pad)
             arena.release(buf)
-            arena.reclaim()
             assert arena.footprint_bytes <= cap
         assert arena.evictions > 0
 
@@ -241,49 +322,3 @@ class TestThreadSafety:
         for t in threads:
             t.join()
         assert not errors
-
-    def test_reclaim_spares_other_threads_in_flight_buffers(self):
-        arena = BufferArena()
-        acquired = threading.Event()
-        done = threading.Event()
-        held: list[np.ndarray] = []
-
-        def holder():
-            held.append(arena.acquire((8, 8)))
-            acquired.set()
-            done.wait(10)
-
-        t = threading.Thread(target=holder)
-        t.start()
-        acquired.wait(10)
-        arena.reclaim()  # main thread's backstop must not pool the holder's buffer
-        stolen = arena.acquire((8, 8))
-        assert stolen is not held[0]
-        done.set()
-        t.join()
-
-    def test_reclaim_pools_buffers_of_exited_threads(self):
-        arena = BufferArena()
-        held: list[np.ndarray] = []
-        t = threading.Thread(target=lambda: held.append(arena.acquire((8, 8))))
-        t.start()
-        t.join()  # thread gone, its buffer still in flight
-        arena.reclaim()
-        assert arena.acquire((8, 8)) is held[0]
-
-    def test_reclaim_drops_pad_scratch_of_exited_threads(self):
-        """Thread-per-request traffic must not leak one pad set per dead
-        thread (pad scratch is keyed by thread ident)."""
-        arena = BufferArena()
-        x = np.ones((1, 1, 4, 4), np.float32)
-        threads = [threading.Thread(target=lambda: arena.padded(x, 1)) for _ in range(10)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        leaked = arena.footprint_bytes
-        assert leaked > 0
-        mine = arena.padded(x, 1)  # the caller's own pad must survive reclaim
-        arena.reclaim()
-        assert arena.footprint_bytes == mine.nbytes
-        assert arena.padded(x, 1) is mine

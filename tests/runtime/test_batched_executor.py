@@ -7,6 +7,9 @@ to running it alone — and repeated identical layers compile once while
 scratch buffers recycle across calls.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -251,6 +254,85 @@ class TestBatchedEquality:
         for _ in range(3):
             ex.run(rng.standard_normal((3, 3, 8, 8)).astype(np.float32))
         np.testing.assert_array_equal(out1, snapshot)
+
+
+class TestStaticOwnership:
+    """The executor hands back every arena buffer it holds — at the end of
+    each run, also when a node raises — and the pool serves many threads."""
+
+    def test_failed_run_leaks_no_buffer(self, monkeypatch):
+        """``pool`` raises while conv3's buffer is live: the next run must
+        find every buffer back in the pool."""
+        g, ps, assignments = _stack_graph()
+        ex = CompiledExecutor(g, ps, assignments)
+        x = np.random.default_rng(8).standard_normal((2, 3, 8, 8)).astype(np.float32)
+        expected = ex.run(x)
+        ex.run(x)
+        allocations, footprint = ex.arena.allocations, ex.arena.footprint_bytes
+        dispatch = ex._dispatch
+
+        def failing(node, inputs, arena):
+            if node.name == "pool":
+                raise RuntimeError("injected")
+            return dispatch(node, inputs, arena)
+
+        monkeypatch.setattr(ex, "_dispatch", failing)
+        with pytest.raises(RuntimeError, match="injected"):
+            ex.run(x)
+        monkeypatch.undo()
+        assert np.array_equal(ex.run(x), expected)
+        assert ex.arena.allocations == allocations
+        assert ex.arena.footprint_bytes == footprint
+
+    @pytest.mark.parametrize("opt_level", ["native", "gemm"])
+    def test_shared_executor_across_threads(self, opt_level):
+        """8 threads share one executor: every output is bitwise its solo
+        run, and a run after the threads join allocates nothing."""
+        g, ps, assignments = _stack_graph()
+        ex = CompiledExecutor(g, ps, assignments, opt_level)
+        rng = np.random.default_rng(9)
+        inputs = [rng.standard_normal((1 + t % 3, 3, 8, 8)).astype(np.float32) for t in range(8)]
+        solo = [ex.run(x) for x in inputs]
+        mismatches: list[int] = []
+        start = threading.Barrier(len(inputs))
+
+        def worker(t):
+            start.wait(10)
+            for _ in range(20):
+                if not np.array_equal(ex.run(inputs[t]), solo[t]):
+                    mismatches.append(t)
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(len(inputs))]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert mismatches == []
+        counts = ex.arena.allocations, ex.arena.pad_allocations
+        for x, want in zip(inputs, solo):
+            assert np.array_equal(ex.run(x), want)
+        assert (ex.arena.allocations, ex.arena.pad_allocations) == counts
+
+
+    @pytest.mark.parametrize("opt_level", OPT_LEVELS)
+    def test_bare_sample_call_hands_its_buffers_back(self, opt_level):
+        """A bare (C, H, W) sample gets a copy of its output row, so the
+        kernel returns the batch buffer to the arena with its scratch."""
+        g, ps, assignments = _conv_graph(1, 1)
+        fn = CompiledExecutor(g, ps, assignments, opt_level)._compiled["conv"]
+        x = np.random.default_rng(10).standard_normal((5, 9, 9)).astype(np.float32)
+        arena = BufferArena()
+        first = fn(x, arena=arena)
+        counts = arena.allocations, arena.pad_allocations
+        assert np.array_equal(fn(x, arena=arena), first)
+        assert (arena.allocations, arena.pad_allocations) == counts
+        assert np.array_equal(first, fn(x))
 
 
 class TestKernelCache:

@@ -10,7 +10,7 @@ from repro.core.masking import apply_masks, extract_masks
 from repro.core.patterns import PatternSet, enumerate_candidate_patterns
 from repro.graph.builder import build_graph
 from repro.graph.pass_manager import default_pipeline
-from repro.models import build_mobilenet_v2, build_resnet, build_small_cnn
+from repro.models import build_mobilenet_v2, build_resnet, build_small_cnn, build_vgg
 from repro.runtime import CompiledExecutor, InferenceSession, ReferenceExecutor
 from repro.utils.rng import make_rng
 
@@ -142,6 +142,53 @@ class TestInferenceSession:
         )
         np.testing.assert_allclose(session.run(x8), expected, rtol=1e-3, atol=1e-3)
         assert session.pass_report is not None
+
+
+def _project_3x3(model, ps):
+    """Pattern + connectivity projection of every dense 3x3 conv; returns
+    the assignments a compiled session needs (depthwise and 1x1 convs
+    stay on the reference kernel)."""
+    from repro.core.projections import project_kernel_pattern
+
+    apply_masks(model, extract_masks(model, ps, connectivity_rate=2.0))
+    model.eval()
+    assignments = {}
+    for name, module in model.named_modules():
+        if isinstance(module, nn.Conv2d) and module.kernel_size == 3 and module.groups == 1:
+            _, a = project_kernel_pattern(module.weight.data, ps)
+            energy = (module.weight.data.reshape(a.shape[0], a.shape[1], -1) ** 2).sum(axis=2)
+            assignments[name] = (a * (energy > 0)).astype(np.int32)
+    return assignments
+
+
+class TestModelBatchInvariance:
+    """Every model zoo topology serves a sample with the same bytes alone
+    or inside a batch — MobileNet-V2's grouped (depthwise) and 1x1 convs
+    run on the reference conv kernel, so that kernel must be
+    batch-invariant too."""
+
+    @pytest.mark.parametrize(
+        "builder,kwargs",
+        [
+            (build_small_cnn, {"channels": (8, 16), "in_size": 8}),
+            (build_resnet, {"blocks_per_stage": (1, 1)}),
+            (build_mobilenet_v2, {}),
+            (build_vgg, {"in_size": 8}),
+        ],
+        ids=["smallcnn", "resnet", "mobilenet_v2", "vgg"],
+    )
+    @pytest.mark.parametrize("compiled", [False, True], ids=["reference", "compiled"])
+    def test_batched_run_equals_single_runs_bitwise(self, builder, kwargs, compiled):
+        model = builder(**kwargs)
+        if compiled:
+            ps = PatternSet(enumerate_candidate_patterns()[:8])
+            session = InferenceSession(model, (3, 8, 8), pattern_set=ps, assignments=_project_3x3(model, ps))
+        else:
+            session = InferenceSession(model, (3, 8, 8))
+        x = make_rng(3).standard_normal((8, 3, 8, 8)).astype(np.float32)
+        for n in (1, 3, 8):
+            singles = np.concatenate([session.run(x[i : i + 1]) for i in range(n)])
+            assert np.array_equal(session.run(x[:n]), singles), f"N={n}"
 
 
 class TestSessionArtifactValidation:
